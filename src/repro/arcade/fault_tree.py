@@ -40,6 +40,8 @@ from fractions import Fraction
 
 from repro.arcade.components import ArcadeModelError
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 # ---------------------------------------------------------------------------
 # fault-tree nodes (evaluate over the set of FAILED components)
@@ -223,7 +225,7 @@ class ComponentService(ServiceTreeNode):
     component: str
 
     def evaluate(self, up: Set[str]) -> Fraction:
-        return Fraction(1) if self.component in up else Fraction(0)
+        return _ONE if self.component in up else _ZERO
 
     def components(self) -> frozenset[str]:
         return frozenset({self.component})
@@ -267,7 +269,7 @@ class AverageService(ServiceTreeNode):
     children: tuple[ServiceTreeNode, ...]
 
     def evaluate(self, up: Set[str]) -> Fraction:
-        total = sum((child.evaluate(up) for child in self.children), Fraction(0))
+        total = sum((child.evaluate(up) for child in self.children), _ZERO)
         return total / len(self.children)
 
     def components(self) -> frozenset[str]:
@@ -297,8 +299,8 @@ class CappedFractionService(ServiceTreeNode):
     required: int
 
     def evaluate(self, up: Set[str]) -> Fraction:
-        total = sum((child.evaluate(up) for child in self.children), Fraction(0))
-        return min(Fraction(1), total / self.required)
+        total = sum((child.evaluate(up) for child in self.children), _ZERO)
+        return min(_ONE, total / self.required)
 
     def components(self) -> frozenset[str]:
         return frozenset().union(*(child.components() for child in self.children))

@@ -91,6 +91,15 @@ class RepairStrategy(enum.Enum):
         return f"{base}-{crews}"
 
 
+#: The component attribute that orders each strategy's queue (smaller first).
+#: FCFS and DEDICATED keys are all equal, so they have no entry.
+_POLICY_ATTRIBUTE = {
+    RepairStrategy.FASTEST_REPAIR_FIRST: "mttr",
+    RepairStrategy.FASTEST_FAILURE_FIRST: "mttf",
+    RepairStrategy.PRIORITY: "priority",
+}
+
+
 @dataclass(frozen=True)
 class RepairUnit:
     """A repair unit: a strategy, a number of crews and a set of components.
@@ -128,6 +137,9 @@ class RepairUnit:
             raise ArcadeModelError(f"repair unit {self.name!r} lists a component twice")
         if self.crews < 1:
             raise ArcadeModelError(f"repair unit {self.name!r} needs at least one crew")
+        # Resolved once: ``insert`` reads one attribute per queued entry
+        # instead of building a policy key for it on every call.
+        object.__setattr__(self, "_policy_attribute", _POLICY_ATTRIBUTE.get(self.strategy))
 
     # ------------------------------------------------------------------
     @property
@@ -153,14 +165,8 @@ class RepairUnit:
         Smaller keys are repaired earlier.  FCFS and DEDICATED use a constant
         key, so insertion order is preserved.
         """
-        strategy = self.strategy
-        if strategy is RepairStrategy.FASTEST_REPAIR_FIRST:
-            return (component.mttr,)
-        if strategy is RepairStrategy.FASTEST_FAILURE_FIRST:
-            return (component.mttf,)
-        if strategy is RepairStrategy.PRIORITY:
-            return (component.priority,)
-        return (0,)
+        attribute = self._policy_attribute
+        return (0,) if attribute is None else (getattr(component, attribute),)
 
     def insert(
         self,
@@ -184,13 +190,14 @@ class RepairUnit:
             # queued component is in service anyway.
             return tuple(sorted([*queue, component.name]))
 
-        key = self.policy_key(component)
         position = len(queue)
-        for index, queued_name in enumerate(queue):
-            queued_key = self.policy_key(components_by_name[queued_name])
-            if queued_key > key:
-                position = index
-                break
+        attribute = self._policy_attribute
+        if attribute is not None:
+            key = getattr(component, attribute)
+            for index, queued_name in enumerate(queue):
+                if getattr(components_by_name[queued_name], attribute) > key:
+                    position = index
+                    break
         if not self.preemptive:
             in_service = min(self.effective_crews(), len(queue))
             position = max(position, in_service)

@@ -27,6 +27,18 @@ Each state is labelled ``"down"``/``"operational"`` via the fault tree and
 ``"no_service"``/``"full_service"`` via the service tree; the quantitative
 service level of every state is returned alongside the chain.  The cost
 model becomes a reward structure named ``"cost"``.
+
+Many states share one failed set and differ only in queue order (a Line 1
+FRF chain has 33,280 states but 2^11 = 2,048 failed sets), so
+:class:`ArcadeDynamics`, which the simulator uses too, computes everything
+that depends on the failed set alone once per distinct set, keyed by a
+component bitmask: the up components' effective (dormancy-aware) failure
+rates, the labels, the exact service level and the cost rate.  The cost
+belongs here because every failed covered component sits in its unit's
+queue, so a unit's busy crews are ``min(crews, |failed ∩ unit|)``.  Queue
+evolution through :class:`RepairUnit` is the only per-state work.  States
+are numbered breadth-first from the all-up state; state order, chain, labels
+and rewards are exactly those of a per-state expansion.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,11 +110,7 @@ class ArcadeStateSpace:
 
     def failed_components(self, state_index: int) -> frozenset[str]:
         """The failed components of a state."""
-        queues, uncovered = self.states[state_index]
-        failed: set[str] = set(uncovered)
-        for queue in queues:
-            failed |= set(queue)
-        return frozenset(failed)
+        return frozenset(failed_components(self.states[state_index]))
 
     def service_level_array(self) -> np.ndarray:
         """Service levels as a float vector (index-aligned with the chain)."""
@@ -129,17 +137,7 @@ class ArcadeStateSpace:
         priorities, as prescribed by the paper for Given-Occurrence-Of-
         Disaster models.
         """
-        if isinstance(disaster, str):
-            disaster = self.model.disaster(disaster)
-        components_by_name = self.model.components_by_name()
-        failed = set(disaster.failed_components)
-        queues = []
-        for unit in self.model.repair_units:
-            covered_failed = [name for name in failed if unit.covers(name)]
-            queues.append(unit.initial_queue(covered_failed, components_by_name))
-        covered = {name for unit in self.model.repair_units for name in unit.components}
-        uncovered = tuple(sorted(failed - covered))
-        return self.state_index((tuple(queues), uncovered))
+        return self.state_index(disaster_state(self.model, disaster))
 
     def initial_distribution_for_disaster(self, disaster: Disaster | str) -> np.ndarray:
         """A point-mass initial distribution on the disaster state."""
@@ -154,12 +152,115 @@ class ArcadeStateSpace:
         )
 
 
-def _state_failed(state: ArcadeState) -> set[str]:
+def failed_components(state: ArcadeState) -> set[str]:
+    """The failed components of a state: its queued and its uncovered ones."""
     queues, uncovered = state
-    failed: set[str] = set(uncovered)
-    for queue in queues:
-        failed |= set(queue)
-    return failed
+    return set(uncovered).union(*queues)
+
+
+def disaster_state(model: ArcadeModel, disaster: Disaster | str) -> ArcadeState:
+    """The state a disaster induces, with queues in component-priority order."""
+    if isinstance(disaster, str):
+        disaster = model.disaster(disaster)
+    components_by_name = model.components_by_name()
+    failed = set(disaster.failed_components)
+    queues = tuple(
+        unit.initial_queue([name for name in failed if unit.covers(name)], components_by_name)
+        for unit in model.repair_units
+    )
+    covered = {name for unit in model.repair_units for name in unit.components}
+    return (queues, tuple(sorted(failed - covered)))
+
+
+class _FailedSet(NamedTuple):
+    """Everything about a state that depends only on its failed components."""
+
+    #: ``(name, bit, repair-unit index or None, rate)`` per up component
+    #: with a positive effective failure rate, in model order.
+    failures: tuple[tuple[str, int, int | None, float], ...]
+    labels: tuple[str, ...]
+    service_level: Fraction
+    cost_rate: float
+
+
+class ArcadeDynamics:
+    """The transitions of a model's states, for the builder and the simulator.
+
+    Failed sets are component bitmasks; their facts are computed on first
+    use and memoised (see the module docstring).
+    """
+
+    def __init__(self, model: ArcadeModel, with_repairs: bool = True) -> None:
+        self.model = model
+        self.with_repairs = with_repairs
+        self._components = model.components_by_name()
+        self._bit = {name: 1 << position for position, name in enumerate(model.component_names)}
+        # First covering unit wins, as in ArcadeModel.repair_unit_of.
+        self._unit_index: dict[str, int] = {}
+        for position, unit in enumerate(model.repair_units):
+            for name in unit.components:
+                self._unit_index.setdefault(name, position)
+        self._service_tree = model.effective_service_tree()
+        self._failed_sets: dict[int, _FailedSet] = {}
+
+    def mask(self, state: ArcadeState) -> int:
+        """The bitmask of a state's failed components."""
+        return sum(self._bit[name] for name in failed_components(state))
+
+    def failed_set(self, mask: int) -> _FailedSet:
+        """The memoised facts of the failed set ``mask``."""
+        info = self._failed_sets.get(mask)
+        if info is None:
+            info = self._failed_sets[mask] = self._evaluate(mask)
+        return info
+
+    def _evaluate(self, mask: int) -> _FailedSet:
+        model = self.model
+        failed = {name for name, bit in self._bit.items() if mask & bit}
+        up = [name for name in model.component_names if name not in failed]
+        failures = []
+        for name in up:
+            rate = model.effective_failure_rate(name, up)
+            if rate > 0.0:
+                failures.append((name, self._bit[name], self._unit_index.get(name), rate))
+        labels = []
+        if model.fault_tree is not None:
+            labels.append("down" if model.is_down(failed) else "operational")
+        level = self._service_tree.service_level(up)
+        if level == 0:
+            labels.append("no_service")
+        if level == 1:
+            labels.append("full_service")
+        # Every failed covered component sits in its unit's queue, so the
+        # busy crews are a function of the failed set as well.
+        busy = {
+            unit.name: min(unit.effective_crews(), len(failed.intersection(unit.components)))
+            for unit in model.repair_units
+        }
+        cost_rate = model.state_cost_rate(failed, busy)
+        return _FailedSet(tuple(failures), tuple(labels), level, cost_rate)
+
+    def successors(self, state: ArcadeState, mask: int) -> list[tuple[float, ArcadeState, int]]:
+        """``(rate, successor, successor mask)`` per transition: failures, then repairs."""
+        queues, uncovered = state
+        components = self._components
+        units = self.model.repair_units
+        transitions = []
+        for name, bit, position, rate in self.failed_set(mask).failures:
+            if position is None:
+                successor = (queues, tuple(sorted([*uncovered, name])))
+            else:
+                new_queue = units[position].insert(queues[position], components[name], components)
+                successor = (queues[:position] + (new_queue,) + queues[position + 1 :], uncovered)
+            transitions.append((rate, successor, mask | bit))
+        if self.with_repairs:
+            for position, unit in enumerate(units):
+                for name in unit.in_service(queues[position]):
+                    new_queue = unit.remove(queues[position], name)
+                    successor = (queues[:position] + (new_queue,) + queues[position + 1 :], uncovered)
+                    rate = components[name].repair_rate
+                    transitions.append((rate, successor, mask & ~self._bit[name]))
+        return transitions
 
 
 def build_state_space(
@@ -180,98 +281,39 @@ def build_state_space(
     max_states:
         Optional safety limit on the number of reachable states.
     """
-    components_by_name = model.components_by_name()
-    component_names = model.component_names
+    dynamics = ArcadeDynamics(model, with_repairs)
     repair_units = model.repair_units
-    service_tree = model.effective_service_tree()
-    # Precomputed component -> repair-unit index (first covering unit wins),
-    # so the expansion loop needs no linear scan over units per failure.
-    unit_index_by_component: dict[str, int] = {}
-    for position, unit in enumerate(repair_units):
-        for name in unit.components:
-            unit_index_by_component.setdefault(name, position)
-
     initial_state: ArcadeState = (tuple(() for _ in repair_units), ())
 
     index_of: dict[ArcadeState, int] = {initial_state: 0}
     states: list[ArcadeState] = [initial_state]
+    masks: list[int] = [0]
     queue: deque[int] = deque([0])
 
     builder = CTMCBuilder()
     builder.add_state(_describe(initial_state, repair_units))
-
-    def register(state: ArcadeState) -> int:
-        if state in index_of:
-            return index_of[state]
-        index = len(states)
-        index_of[state] = index
-        states.append(state)
-        builder.add_state(_describe(state, repair_units))
-        queue.append(index)
-        if max_states is not None and len(states) > max_states:
-            raise ArcadeModelError(f"state space exceeds the limit of {max_states} states")
-        return index
-
     while queue:
         source = queue.popleft()
-        state = states[source]
-        queues, uncovered = state
-        failed = _state_failed(state)
-        up = [name for name in component_names if name not in failed]
+        for rate, successor, mask in dynamics.successors(states[source], masks[source]):
+            target = index_of.get(successor)
+            if target is None:
+                target = index_of[successor] = len(states)
+                states.append(successor)
+                masks.append(mask)
+                builder.add_state(_describe(successor, repair_units))
+                queue.append(target)
+                if max_states is not None and len(states) > max_states:
+                    raise ArcadeModelError(f"state space exceeds the limit of {max_states} states")
+            builder.add_transition(source, target, rate)
 
-        # Failure transitions.
-        for name in up:
-            rate = model.effective_failure_rate(name, up)
-            if rate <= 0.0:
-                continue
-            unit_index = unit_index_by_component.get(name)
-            if unit_index is None:
-                successor: ArcadeState = (queues, tuple(sorted([*uncovered, name])))
-            else:
-                unit = repair_units[unit_index]
-                new_queue = unit.insert(queues[unit_index], components_by_name[name], components_by_name)
-                new_queues = tuple(
-                    new_queue if position == unit_index else existing
-                    for position, existing in enumerate(queues)
-                )
-                successor = (new_queues, uncovered)
-            builder.add_transition(source, register(successor), rate)
-
-        # Repair transitions.
-        if with_repairs:
-            for unit_index, unit in enumerate(repair_units):
-                for name in unit.in_service(queues[unit_index]):
-                    rate = components_by_name[name].repair_rate
-                    new_queue = unit.remove(queues[unit_index], name)
-                    new_queues = tuple(
-                        new_queue if position == unit_index else existing
-                        for position, existing in enumerate(queues)
-                    )
-                    successor = (new_queues, uncovered)
-                    builder.add_transition(source, register(successor), rate)
-
-    # Labels, service levels and costs.
     service_levels: list[Fraction] = []
     cost_rates = np.zeros(len(states))
-    for index, state in enumerate(states):
-        failed = _state_failed(state)
-        up_set = [name for name in component_names if name not in failed]
-        if model.fault_tree is not None:
-            if model.is_down(failed):
-                builder.add_label("down", index)
-            else:
-                builder.add_label("operational", index)
-        level = service_tree.service_level(up_set)
-        service_levels.append(level)
-        if level == 0:
-            builder.add_label("no_service", index)
-        if level == 1:
-            builder.add_label("full_service", index)
-        busy = {
-            unit.name: unit.busy_crews(state[0][position])
-            for position, unit in enumerate(repair_units)
-        }
-        cost_rates[index] = model.state_cost_rate(failed, busy)
+    for index, mask in enumerate(masks):
+        info = dynamics.failed_set(mask)
+        for label in info.labels:
+            builder.add_label(label, index)
+        service_levels.append(info.service_level)
+        cost_rates[index] = info.cost_rate
 
     chain = builder.build({0: 1.0})
     reward_model = MarkovRewardModel(chain, RewardStructure("cost", cost_rates))

@@ -46,6 +46,7 @@ from repro.ctmc.linsolve import (
     subset_signature,
 )
 from repro.ctmc.steady_state import (
+    ConvergenceError,
     bottom_strongly_connected_components,
     bscc_decomposition,
     steady_state_distribution,
@@ -63,6 +64,7 @@ from repro.ctmc.dtmc import DTMC, embedded_dtmc, uniformized_dtmc
 
 __all__ = [
     "CTMC",
+    "ConvergenceError",
     "DTMC",
     "ENGINE_STATS",
     "Factorization",

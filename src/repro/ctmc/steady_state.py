@@ -50,36 +50,37 @@ from collections.abc import Iterable
 
 import numpy as np
 from scipy import sparse
-
-import networkx as nx
+from scipy.sparse.csgraph import connected_components
 
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.linsolve import SolverEngine, subset_signature
+
+
+class ConvergenceError(CTMCError):
+    """An iterative solver reached its iteration limit without converging."""
 
 
 def bottom_strongly_connected_components(chain: CTMC) -> list[np.ndarray]:
     """Return the BSCCs of ``chain`` as arrays of state indices.
 
     A strongly connected component is *bottom* if no transition leaves it.
+    The BSCCs are ordered by their smallest state, each sorted ascending.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(chain.num_states))
     matrix = chain.rate_matrix.tocoo()
-    graph.add_edges_from(zip(matrix.row.tolist(), matrix.col.tolist()))
-
-    bsccs: list[np.ndarray] = []
-    for component in nx.strongly_connected_components(graph):
-        component_set = set(component)
-        is_bottom = True
-        for state in component:
-            for successor in graph.successors(state):
-                if successor not in component_set:
-                    is_bottom = False
-                    break
-            if not is_bottom:
-                break
-        if is_bottom:
-            bsccs.append(np.array(sorted(component), dtype=int))
+    num_components, component_of = connected_components(
+        chain.rate_matrix, directed=True, connection="strong"
+    )
+    leaving = component_of[matrix.row] != component_of[matrix.col]
+    bottom = np.ones(num_components, dtype=bool)
+    bottom[component_of[matrix.row[leaving]]] = False
+    # Group the bottom members by component with one stable sort, so chains
+    # with one component per state stay linear.
+    members = np.flatnonzero(bottom[component_of])
+    if members.size == 0:
+        return []
+    members = members[np.argsort(component_of[members], kind="stable")]
+    boundaries = np.flatnonzero(np.diff(component_of[members])) + 1
+    bsccs = np.split(members, boundaries)
     bsccs.sort(key=lambda indices: int(indices[0]))
     return bsccs
 
@@ -184,6 +185,9 @@ def _power_iteration(
     enough that the former 1e-14 stop left ~1e-12 of true error — visible
     against the direct solves of the (much smaller) lumped quotients, which
     the ``bench_perf_lump_complete`` gates compare at 1e-12.
+
+    Raises :class:`ConvergenceError` if the stop is not reached within
+    ``max_iterations``.
     """
     exit_rates = -np.asarray(generator.diagonal()).ravel()
     q = float(exit_rates.max()) * 1.02 + 1e-12
@@ -193,10 +197,11 @@ def _power_iteration(
     for iteration in range(1, max_iterations + 1):
         updated = transposed @ vector
         if iteration % check_every == 0 and np.abs(updated - vector).max() < tolerance:
-            vector = updated
-            break
+            return np.asarray(updated).ravel()
         vector = updated
-    return np.asarray(vector).ravel()
+    raise ConvergenceError(
+        f"power iteration did not converge to {tolerance:g} within {max_iterations} iterations"
+    )
 
 
 def _transient_states(chain: CTMC, bsccs: list[np.ndarray]) -> np.ndarray:

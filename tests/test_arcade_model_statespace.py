@@ -1,5 +1,6 @@
 """Tests for the ArcadeModel container, spare units and the direct state-space generator."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,10 @@ from repro.arcade import (
     build_state_space,
 )
 from repro.arcade.components import ArcadeModelError
+from repro.arcade.fault_tree import ServiceTree
 from repro.arcade.model import Disaster
+from repro.casestudy.experiments import line_state_space
+from repro.casestudy.facility import build_line, paper_strategy_configurations
 from repro.ctmc import steady_state_distribution
 from helpers import make_mini_model, make_spare_model
 
@@ -198,3 +202,74 @@ class TestSpareStateSpace:
             steady_state_distribution(hot.chain)[hot.chain.label_mask("operational")].sum()
         )
         assert availability_cold > availability_hot
+
+
+# ---------------------------------------------------------------------------
+# the ten paper chains, pinned
+# ---------------------------------------------------------------------------
+#: ``(line, strategy, states, transitions, fingerprint prefix, digest prefix)``
+#: of every paper chain; the digest covers labels, cost rates and service
+#: levels (see ``_annotation_digest``).
+PAPER_CHAINS = [
+    ("line1", "DED", 2048, 22528, "7cf8093aea50b2a4", "485a7a5f790fdc63"),
+    ("line1", "FRF-1", 33280, 145087, "de9da5c4b4e2f4a8", "411c90e32aad4762"),
+    ("line1", "FRF-2", 33280, 178355, "a4b2772a37a9019a", "fd169908805154a8"),
+    ("line1", "FFF-1", 33280, 145087, "55c7cdab766abb43", "411c90e32aad4762"),
+    ("line1", "FFF-2", 33280, 178355, "64e9e7d5b49ecb6a", "fd169908805154a8"),
+    ("line2", "DED", 512, 4608, "f9fc3e60e2c11c95", "06e9b098c9dd1fde"),
+    ("line2", "FRF-1", 2560, 10687, "08dadaeb4f352a46", "70fd17f5596ce913"),
+    ("line2", "FRF-2", 2560, 13237, "98c74ca575a41941", "7941247e212f1f70"),
+    ("line2", "FFF-1", 2560, 10687, "1b983e186394f3fd", "70fd17f5596ce913"),
+    ("line2", "FFF-2", 2560, 13237, "1a58933805717903", "7941247e212f1f70"),
+]
+
+
+def _annotation_digest(space) -> str:
+    digest = hashlib.sha256()
+    chain = space.chain
+    for name in chain.label_names:
+        digest.update(name.encode())
+        digest.update(np.flatnonzero(chain.label_mask(name)).astype("<i8").tobytes())
+    rewards = space.reward_model.reward_structure("cost").state_rewards
+    digest.update(np.asarray(rewards, dtype="<f8").tobytes())
+    levels = ",".join(f"{level.numerator}/{level.denominator}" for level in space.service_levels)
+    digest.update(levels.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "line, label, states, transitions, fingerprint, digest",
+    PAPER_CHAINS,
+    ids=[f"{line}-{label}" for line, label, *_ in PAPER_CHAINS],
+)
+def test_paper_chain_expansion_is_pinned(line, label, states, transitions, fingerprint, digest):
+    configuration = {
+        configuration.label: configuration for configuration in paper_strategy_configurations()
+    }[label]
+    space = line_state_space(line, configuration)
+    assert space.num_states == states
+    assert space.num_transitions == transitions
+    assert space.chain.fingerprint.startswith(fingerprint)
+    assert _annotation_digest(space).startswith(digest)
+
+
+def test_trees_are_evaluated_once_per_failed_set(monkeypatch):
+    """Line 1 FRF-1 has 33,280 states but only 2^11 distinct failed sets."""
+    calls = {"fault": 0, "service": 0}
+    is_down = FaultTree.is_down
+    service_level = ServiceTree.service_level
+
+    def counted_is_down(self, failed):
+        calls["fault"] += 1
+        return is_down(self, failed)
+
+    def counted_service_level(self, up):
+        calls["service"] += 1
+        return service_level(self, up)
+
+    monkeypatch.setattr(FaultTree, "is_down", counted_is_down)
+    monkeypatch.setattr(ServiceTree, "service_level", counted_service_level)
+    space = build_state_space(build_line("line1", "fastest_repair_first", 1))
+    assert space.num_states == 33280
+    assert 0 < calls["fault"] <= 2**11
+    assert 0 < calls["service"] <= 2**11

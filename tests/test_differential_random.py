@@ -21,6 +21,9 @@ population of *generated* CTMCs:
   bundle (target-absorbed backward, seed-vector forward);
 * ``P=?[ safe U target ]`` (session ``UNBOUNDED_REACHABILITY``), lumped
   against unlumped, guarding the safe+target-seeded long-run quotient.
+* the BSCC decomposition itself
+  (:func:`repro.ctmc.bottom_strongly_connected_components`) against the
+  boolean-closure reference.
 
 Each seeded chain (5–40 states, random density/rates, random target,
 safe-set and reward structures, including absorbing states and reducible
@@ -38,7 +41,7 @@ import pytest
 from scipy.linalg import expm
 
 from repro.analysis import AnalysisSession, MeasureKind
-from repro.ctmc import CTMC
+from repro.ctmc import CTMC, bottom_strongly_connected_components
 from repro.ctmc.linsolve import reachability_reward_reference
 
 NUM_CHAINS = 60
@@ -265,6 +268,14 @@ def _assert_close(label: str, seed: int, actual, expected) -> None:
         f"{float(np.max(difference))!r} "
         f"(session {actual!r} vs reference {expected!r})"
     )
+
+
+@pytest.mark.parametrize("seed", range(NUM_CHAINS))
+def test_bscc_decomposition_agrees_with_reference(seed: int) -> None:
+    chain, _ = random_ctmc(seed)
+    expected = sorted(_reference_bsccs(chain.rate_matrix.toarray()), key=lambda m: int(m[0]))
+    actual = bottom_strongly_connected_components(chain)
+    assert [members.tolist() for members in actual] == [m.tolist() for m in expected]
 
 
 @pytest.mark.parametrize("lump", [False, True], ids=["unlumped", "lumped"])

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ctmc import (
     CTMC,
+    ConvergenceError,
     bottom_strongly_connected_components,
     steady_state_distribution,
     steady_state_probability,
@@ -35,6 +37,24 @@ class TestBSCC:
         chain = CTMC(rates, {0: 1.0})
         bsccs = bottom_strongly_connected_components(chain)
         assert [list(b) for b in bsccs] == [[1], [2]]
+
+    def test_bsccs_ordered_by_smallest_state_with_sorted_members(self):
+        # 0 -> {3, 4} (a closed cycle), 0 -> 1 -> {5, 2} (a closed cycle),
+        # and 6 absorbing: three BSCCs whose members are not contiguous.
+        rates = np.zeros((7, 7))
+        for source, target in [(0, 3), (0, 1), (1, 5), (3, 4), (4, 3), (5, 2), (2, 5), (0, 6)]:
+            rates[source, target] = 1.0
+        bsccs = bottom_strongly_connected_components(CTMC(rates, {0: 1.0}))
+        assert [list(b) for b in bsccs] == [[2, 5], [3, 4], [6]]
+        assert all(b.dtype == np.dtype(int) for b in bsccs)
+
+    def test_one_component_per_state(self):
+        # A pure-death chain: every state is its own SCC, only the last is bottom.
+        size = 500
+        rates = np.zeros((size, size))
+        rates[np.arange(size - 1), np.arange(1, size)] = 1.0
+        bsccs = bottom_strongly_connected_components(CTMC(rates, {0: 1.0}))
+        assert [list(b) for b in bsccs] == [[size - 1]]
 
 
 class TestSteadyState:
@@ -93,6 +113,18 @@ class TestSteadyState:
     def test_unknown_method_rejected(self, two_state_chain):
         with pytest.raises(Exception):
             steady_state_distribution(two_state_chain, method="banana")
+
+    def test_power_iteration_raises_when_it_does_not_converge(self, mini_space):
+        from repro.ctmc.ctmc import CTMCError
+        from repro.ctmc.steady_state import _power_iteration
+
+        rates = mini_space.chain.rate_matrix
+        generator = rates - sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
+        with pytest.raises(ConvergenceError) as raised:
+            _power_iteration(generator, mini_space.num_states, max_iterations=5)
+        assert isinstance(raised.value, CTMCError)
+        converged = _power_iteration(generator, mini_space.num_states)
+        assert converged.sum() == pytest.approx(1.0)
 
 
 @given(

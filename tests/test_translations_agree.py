@@ -9,7 +9,9 @@ small enough to build through all three paths:
 * Arcade → reactive modules → CTMC,
 * Arcade → I/O-IMC → compose → hide → maximal progress → CTMC,
 
-by comparing state counts, lumping quotients and computed measures.
+by comparing state counts, lumping quotients and computed measures.  The
+same checks also run on seeded generated facilities
+(:func:`helpers.make_random_model`), not only on the hand-written models.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from repro.ctmc import (
     time_bounded_reachability,
 )
 from repro.modules import build_ctmc
-from helpers import make_mini_model, make_spare_model
+from helpers import make_mini_model, make_random_model, make_spare_model
 
 
 def availability(chain) -> float:
@@ -38,11 +40,22 @@ def unreliability_like(chain, t: float) -> float:
 
 STRATEGIES = ["dedicated", "fcfs", "fastest_repair_first", "fastest_failure_first", "priority"]
 
+#: Generated facilities.  The reactive-modules path encodes preemptive queues
+#: only; the I/O-IMC path needs hot spares and composes slowly, so it runs on
+#: the hot-spare draws with at most six components.
+GENERATED = {seed: make_random_model(seed) for seed in range(30)}
+MODULES_SEEDS = [
+    seed for seed, model in GENERATED.items()
+    if all(unit.preemptive for unit in model.repair_units)
+]
+IOMC_SEEDS = [
+    seed for seed, model in GENERATED.items()
+    if len(model.components) <= 6
+    and all(component.dormancy_factor == 1.0 for component in model.components)
+]
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("crews", [1, 2])
-def test_direct_and_modules_translations_agree(strategy, crews):
-    model = make_mini_model(strategy, crews)
+
+def assert_direct_and_modules_agree(model):
     direct = build_state_space(model)
     modules = build_ctmc(arcade_to_modules(model))
 
@@ -63,9 +76,7 @@ def test_direct_and_modules_translations_agree(strategy, crews):
     assert direct_cost == pytest.approx(modules_cost, abs=1e-9)
 
 
-@pytest.mark.parametrize("strategy", ["dedicated", "fastest_repair_first", "fastest_failure_first"])
-def test_direct_and_iomc_translations_agree(strategy):
-    model = make_mini_model(strategy)
+def assert_direct_and_iomc_agree(model):
     direct = build_state_space(model)
     iomc_chain = arcade_iomc_ctmc(model)
 
@@ -74,6 +85,43 @@ def test_direct_and_iomc_translations_agree(strategy):
     assert unreliability_like(iomc_chain, 5.0) == pytest.approx(
         unreliability_like(direct.chain, 5.0), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("crews", [1, 2])
+def test_direct_and_modules_translations_agree(strategy, crews):
+    assert_direct_and_modules_agree(make_mini_model(strategy, crews))
+
+
+@pytest.mark.parametrize("seed", MODULES_SEEDS)
+def test_direct_and_modules_translations_agree_on_generated_facilities(seed):
+    assert_direct_and_modules_agree(GENERATED[seed])
+
+
+@pytest.mark.parametrize("strategy", ["dedicated", "fastest_repair_first", "fastest_failure_first"])
+def test_direct_and_iomc_translations_agree(strategy):
+    assert_direct_and_iomc_agree(make_mini_model(strategy))
+
+
+@pytest.mark.parametrize("seed", IOMC_SEEDS)
+def test_direct_and_iomc_translations_agree_on_generated_facilities(seed):
+    assert_direct_and_iomc_agree(GENERATED[seed])
+
+
+def test_generated_facilities_cover_the_model_space():
+    """The generator reaches every strategy, both disciplines and every pool mode."""
+    models = GENERATED.values()
+    units = [unit for model in models for unit in model.repair_units]
+    assert {unit.strategy.value for unit in units} == set(STRATEGIES)
+    assert {unit.preemptive for unit in units} == {True, False}
+    assert {unit.crews for unit in units} == {1, 2}
+    assert {len(model.repair_units) for model in models} == {1, 2}
+    assert {len(model.components) for model in models} == set(range(3, 8))
+    assert {model.components[0].dormancy_factor for model in models} == {0.0, 0.5, 1.0}
+    for model in models:
+        assert model.repair_unit_of(model.components[-1].name) is None
+    # Some non-preemptive draws are checked, through the I/O-IMC path.
+    assert set(IOMC_SEEDS) - set(MODULES_SEEDS)
 
 
 def test_lumping_quotients_are_isomorphic_in_size():
