@@ -56,7 +56,9 @@ class SessionStats:
     the ``*_seconds`` timers are the backend-invariant work and wall-clock
     accounting introduced with the pluggable engine layer
     (:mod:`repro.ctmc.engines`); ``dense_factorizations`` counts how many
-    of the LU builds took the dense LAPACK path.
+    of the LU builds took the dense LAPACK path.  ``stationary_solves`` and
+    ``stationary_seconds`` count the BSCC stationary vectors solved and
+    their wall-clock time (the long-run layer of availability tables).
     """
 
     requests: int = 0
@@ -73,6 +75,8 @@ class SessionStats:
     solved_columns: int = 0
     factor_seconds: float = 0.0
     solve_seconds: float = 0.0
+    stationary_solves: int = 0
+    stationary_seconds: float = 0.0
     lumped_groups: int = 0
     lumped_states_before: int = 0
     lumped_states_after: int = 0
@@ -93,6 +97,8 @@ class SessionStats:
         self.solved_columns += linear.columns
         self.factor_seconds += linear.factor_seconds
         self.solve_seconds += linear.solve_seconds
+        self.stationary_solves += linear.stationary_solves
+        self.stationary_seconds += linear.stationary_seconds
 
     def absorb(self, other: "SessionStats") -> None:
         """Accumulate another stats object field-by-field.
@@ -114,6 +120,8 @@ class SessionStats:
         self.solved_columns += other.solved_columns
         self.factor_seconds += other.factor_seconds
         self.solve_seconds += other.solve_seconds
+        self.stationary_solves += other.stationary_solves
+        self.stationary_seconds += other.stationary_seconds
         self.lumped_groups += other.lumped_groups
         self.lumped_states_before += other.lumped_states_before
         self.lumped_states_after += other.lumped_states_after
@@ -156,6 +164,11 @@ class SessionStats:
             )
         if self.dense_factorizations:
             parts.append(f"dense_factorizations={self.dense_factorizations}")
+        if self.stationary_solves:
+            parts.append(
+                f"stationary_solves={self.stationary_solves}"
+                f" stationary_seconds={self.stationary_seconds:.3f}"
+            )
         if self.lumped_groups:
             parts.append(
                 f"lumped {self.lumped_groups} groups "

@@ -6,7 +6,7 @@ probabilities (``S=?``), unbounded reachability (``P=?[phi U psi]``) and
 expected reachability rewards (``R=?[F phi]``) — instead reduce to sparse
 linear systems over a *subset* of the state space:
 
-* the stationary balance equations of a BSCC,
+* the absorption probabilities of the transient states into the BSCCs,
 * ``(I - P|_maybe) x = b`` over the genuinely uncertain states of a
   reachability problem on the embedded DTMC,
 * ``Q|_certain v = -rho`` over the states that reach the target with
@@ -98,6 +98,10 @@ class LinearSolveStats:
     factor_seconds, solve_seconds:
         Wall-clock seconds spent building factorizations / running
         triangular (or LAPACK) solves.
+    stationary_solves, stationary_seconds:
+        BSCC stationary vectors actually solved (cache hits do not count)
+        and the wall-clock seconds those solves took, factorization
+        included for the ``direct`` reference method.
     """
 
     factorizations: int = 0
@@ -107,6 +111,8 @@ class LinearSolveStats:
     equivalent_nnz: int = 0
     factor_seconds: float = 0.0
     solve_seconds: float = 0.0
+    stationary_solves: int = 0
+    stationary_seconds: float = 0.0
 
     def reset(self) -> None:
         self.factorizations = 0
@@ -116,6 +122,8 @@ class LinearSolveStats:
         self.equivalent_nnz = 0
         self.factor_seconds = 0.0
         self.solve_seconds = 0.0
+        self.stationary_solves = 0
+        self.stationary_seconds = 0.0
 
     def absorb(self, other: "LinearSolveStats") -> None:
         self.factorizations += other.factorizations
@@ -125,6 +133,8 @@ class LinearSolveStats:
         self.equivalent_nnz += other.equivalent_nnz
         self.factor_seconds += other.factor_seconds
         self.solve_seconds += other.solve_seconds
+        self.stationary_solves += other.stationary_solves
+        self.stationary_seconds += other.stationary_seconds
 
 
 class Factorization(SparseFactorization):

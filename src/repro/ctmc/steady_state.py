@@ -19,17 +19,32 @@ trivial (there is a single BSCC covering every state), but the general code
 path is retained so that e.g. reliability models without repair — which have
 absorbing failure states — are handled correctly too.
 
+Step 2 has one solver for every BSCC with more than one state: GMRES on the
+balance equations with one state pinned, preconditioned by an incomplete LU
+in the natural state order, which breadth-first expansion already makes
+banded.  The first pinned state is the BSCC's first state (for expanded
+Arcade chains the breadth-first root, the all-operational state).  Every
+GMRES cycle solves for the correction left by the previous one (iterative
+refinement), and every iterate is checked against the per-state balance
+residual of :func:`stationary_residual`; the solve stops when it is at most
+``STATIONARY_TOLERANCE``, not on GMRES's own tolerance.  When the cycles on
+the first pin do not get there, the state carrying the largest probability
+flow is pinned instead and the cycles start over; if that fails too,
+:class:`ConvergenceError` is raised.  ``method="direct"`` (``splu``) is kept
+as the reference for tests and is checked the same way.
+
 Every function threads an optional :class:`repro.ctmc.linsolve.SolverEngine`:
 the BSCC decomposition (kind ``bscc``, keyed by the chain's content
 fingerprint), each BSCC's stationary vector (kind ``stationary``, keyed by
-fingerprint plus subset signature), the absorption-system LU (kind
+fingerprint, method and subset signature), the absorption-system LU (kind
 ``factorization``) and the solved absorption matrix (kind ``absorption``,
 built on the jump-chain matrix shared with unbounded reachability under
 kind ``embedded``) are then fetched from — or stored into — the engine's
 backing store.  Pointed at the process-wide artifact cache, repeated
 availability tables perform zero decompositions and zero factorizations
 after the first pass; without an engine every call stays a self-contained
-per-call reference computation, exactly as before.
+per-call reference computation.  Each stationary solve counts in the
+engine's ``stationary_solves`` and ``stationary_seconds``.
 
 :func:`steady_state_distribution_block` is the batch entry point the
 analysis executor uses: a ``(num_initials, num_states)`` block of initial
@@ -46,10 +61,12 @@ quotient and still see the full chain.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import time
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import linalg as sparse_linalg
 from scipy.sparse.csgraph import connected_components
 
 from repro.ctmc.ctmc import CTMC, CTMCError
@@ -57,7 +74,7 @@ from repro.ctmc.linsolve import SolverEngine, subset_signature
 
 
 class ConvergenceError(CTMCError):
-    """An iterative solver reached its iteration limit without converging."""
+    """A solver stopped before its residual met the tolerance."""
 
 
 def bottom_strongly_connected_components(chain: CTMC) -> list[np.ndarray]:
@@ -96,36 +113,56 @@ def bscc_decomposition(chain: CTMC, engine: SolverEngine | None = None) -> list[
     )
 
 
-#: Above this size the "auto" method switches from the direct sparse solve
-#: to power iteration on the uniformized DTMC (direct LU factorisations of
-#: the balance equations suffer from severe fill-in for the repair-queue
-#: chains of this project, whereas power iteration converges in a few
-#: thousand sparse matrix-vector products).
-_AUTO_DIRECT_LIMIT = 4000
+#: ``"auto"`` is the GMRES solve below; ``"direct"`` the ``splu`` reference.
+STATIONARY_METHODS = ("auto", "direct")
+
+#: Bound on the balance residual (:func:`stationary_residual`) of every
+#: stationary vector.
+STATIONARY_TOLERANCE = 1e-14
+
+#: Incomplete-LU preconditioner settings; the state order is kept as it is.
+_ILU_DROP_TOL = 1e-3
+_ILU_FILL_FACTOR = 5
+
+#: Krylov dimension of one GMRES cycle, and the cycles per pinned state.
+_GMRES_RESTART = 30
+_GMRES_CYCLES = 8
+_GMRES_RTOL = 1e-15
+
+
+def _check_method(method: str) -> None:
+    if method not in STATIONARY_METHODS:
+        raise CTMCError(f"unknown steady-state method {method!r}")
+
+
+def stationary_residual(generator: sparse.spmatrix, distribution: np.ndarray) -> float:
+    """The balance residual ``max_j |(πQ)_j| / q_j`` of a stationary vector.
+
+    ``generator`` is the generator ``Q`` of an irreducible chain (or BSCC)
+    with exit rates ``q`` and ``distribution`` a probability vector over
+    its states.  ``|(πQ)_j| / q_j`` is the probability state ``j`` would
+    have to gain or lose to balance its own outflow against its inflow, so
+    a slow state's imbalance counts as much as a fast one's; zero means
+    exact balance.  It measures balance, not the distance to the exact
+    vector, which on nearly decomposable chains can be larger by the
+    chain's condition number.
+    """
+    return float(np.max(np.abs(generator.T @ distribution) / -generator.diagonal()))
 
 
 def _bscc_stationary_distribution(
     chain: CTMC,
     states: np.ndarray,
-    method: str = "auto",
-    engine: SolverEngine | None = None,
+    method: str,
+    engine: SolverEngine,
 ) -> np.ndarray:
     """Stationary distribution of the sub-chain induced by a BSCC.
 
-    Solves ``π Q = 0`` with ``Σ π = 1`` restricted to ``states``.  The
-    resulting vector is a pure function of (chain, subset, method), so it is
-    cached under that key; warm lookups skip both the factorization and the
-    solve.
+    The vector is a pure function of (chain, subset, method), so it is
+    cached under that key; warm lookups skip the solve.
     """
-    size = len(states)
-    if size == 1:
+    if len(states) == 1:
         return np.array([1.0])
-    if method == "auto":
-        method = "direct" if size <= _AUTO_DIRECT_LIMIT else "power"
-    if method not in ("direct", "power"):
-        raise CTMCError(f"unknown steady-state method {method!r}")
-
-    engine = engine if engine is not None else SolverEngine()
     member_mask = np.zeros(chain.num_states, dtype=bool)
     member_mask[states] = True
     token = b"|".join((b"stationary", method.encode(), subset_signature(member_mask)))
@@ -139,69 +176,104 @@ def _bscc_stationary_distribution(
 def _solve_stationary(
     chain: CTMC, states: np.ndarray, method: str, engine: SolverEngine
 ) -> np.ndarray:
-    size = len(states)
-    sub_rates = chain.rate_matrix[np.ix_(states, states)].tocsr()
-    exit_rates = np.asarray(sub_rates.sum(axis=1)).ravel()
-    generator = sub_rates - sparse.diags(exit_rates)
+    """The stationary vector of a BSCC with at least two states.
 
-    if method == "direct":
-        # Replace one balance equation with the normalisation constraint.
-        system = generator.T.tolil()
-        system[size - 1, :] = 1.0
-        rhs = np.zeros(size)
-        rhs[size - 1] = 1.0
-        try:
-            factorization = engine.build_factorization(system.tocsc())
-            solution = engine.solve(factorization, rhs)
-        except Exception as error:  # pragma: no cover - fallback path
-            raise CTMCError(f"direct steady-state solve failed: {error}") from error
-        solution = np.asarray(solution, dtype=float)
-    else:
-        solution = _power_iteration(generator, size)
-
-    solution = np.clip(solution, 0.0, None)
-    total = solution.sum()
-    if total <= 0:
-        raise CTMCError("steady-state solver produced a zero vector")
-    return solution / total
-
-
-def _power_iteration(
-    generator: sparse.spmatrix,
-    size: int,
-    tolerance: float = 1e-15,
-    max_iterations: int = 500_000,
-    check_every: int = 100,
-) -> np.ndarray:
-    """Stationary vector via power iteration on the uniformized DTMC.
-
-    The iteration matrix ``P = I + Q/q`` is stochastic for any uniformization
-    rate ``q`` at least as large as the maximal exit rate; a slightly larger
-    rate avoids periodicity.  Convergence is checked every ``check_every``
-    iterations on the maximum-norm difference of successive iterates.  The
-    tolerance sits just above the roundoff floor of the matrix-vector
-    products: a successive-difference stop overstates convergence by the
-    mixing factor ``λ₂/(1-λ₂)``, and the repair-queue chains mix slowly
-    enough that the former 1e-14 stop left ~1e-12 of true error — visible
-    against the direct solves of the (much smaller) lumped quotients, which
-    the ``bench_perf_lump_complete`` gates compare at 1e-12.
-
-    Raises :class:`ConvergenceError` if the stop is not reached within
-    ``max_iterations``.
+    ``method="auto"`` pins ``π`` at one state ``p``, which leaves the
+    nonsingular M-matrix system ``Q[~p,~p]ᵀ y = −Q[p,~p]ᵀ``, and solves it
+    with restarted GMRES preconditioned by an incomplete LU in the natural
+    state order.  The first pin is the BSCC's first state; the second, tried
+    only when the first does not converge, is the state with the largest
+    flow ``π_j q_j`` in the last iterate, since the pinned state's balance
+    equation is left out of the system and collects the rounding of all the
+    others.  ``method="direct"`` replaces the last balance equation by the
+    normalisation and factorizes with ``splu``.  Each candidate vector — one
+    per GMRES cycle, or the direct solution — is clipped, normalised and
+    checked with :func:`stationary_residual`; the first that meets
+    :data:`STATIONARY_TOLERANCE` is returned, and :class:`ConvergenceError`
+    names the residual, the tolerance and the BSCC size if none does.
     """
-    exit_rates = -np.asarray(generator.diagonal()).ravel()
-    q = float(exit_rates.max()) * 1.02 + 1e-12
-    transition = sparse.identity(size, format="csr") + generator / q
-    transposed = transition.T.tocsr()
-    vector = np.full(size, 1.0 / size)
-    for iteration in range(1, max_iterations + 1):
-        updated = transposed @ vector
-        if iteration % check_every == 0 and np.abs(updated - vector).max() < tolerance:
-            return np.asarray(updated).ravel()
-        vector = updated
-    raise ConvergenceError(
-        f"power iteration did not converge to {tolerance:g} within {max_iterations} iterations"
+    started = time.perf_counter()
+    if len(states) == chain.num_states:
+        rates, exit_rates = chain.rate_matrix, chain.exit_rates
+    else:
+        rates = chain.rate_matrix[np.ix_(states, states)].tocsr()
+        exit_rates = np.asarray(rates.sum(axis=1)).ravel()
+    generator = (rates - sparse.diags(exit_rates)).tocsr()
+
+    candidates = (
+        _direct_candidates(generator, engine)
+        if method == "direct"
+        else _gmres_candidates(generator, exit_rates)
     )
+    residual = np.inf
+    for candidate in candidates:
+        solution = np.clip(candidate, 0.0, None)
+        solution /= solution.sum()
+        residual = stationary_residual(generator, solution)
+        if residual <= STATIONARY_TOLERANCE:
+            engine.stats.stationary_solves += 1
+            engine.stats.stationary_seconds += time.perf_counter() - started
+            return solution
+    raise ConvergenceError(
+        f"{method} stationary solve stopped at residual {residual:.3g} > "
+        f"tolerance {STATIONARY_TOLERANCE:g} on a {len(states)}-state BSCC"
+    )
+
+
+def _direct_candidates(generator: sparse.csr_matrix, engine: SolverEngine) -> list[np.ndarray]:
+    size = generator.shape[0]
+    system = generator.T.tolil()
+    system[size - 1, :] = 1.0
+    rhs = np.zeros(size)
+    rhs[size - 1] = 1.0
+    try:
+        factorization = engine.build_factorization(system.tocsc())
+        return [np.asarray(engine.solve(factorization, rhs), dtype=float)]
+    except (RuntimeError, ValueError) as error:
+        raise CTMCError(f"direct steady-state solve failed: {error}") from error
+
+
+def _gmres_candidates(
+    generator: sparse.csr_matrix, exit_rates: np.ndarray
+) -> Iterator[np.ndarray]:
+    balance = generator.T.tocsc()  # Qᵀπ = 0: one balance equation per row
+    for candidate in _pinned_gmres_candidates(balance, 0):
+        yield candidate
+    # The pinned state's balance equation is left out of the system, so it
+    # collects the others' rounding; a slow pinned state can miss the
+    # tolerance that way, and the state carrying the most flow will not.
+    pin = int(np.argmax(np.clip(candidate, 0.0, None) * exit_rates))
+    if pin != 0:
+        yield from _pinned_gmres_candidates(balance, pin)
+
+
+def _pinned_gmres_candidates(balance: sparse.csc_matrix, pin: int) -> Iterator[np.ndarray]:
+    """One candidate per GMRES cycle, scaled so that ``π[pin] = 1``."""
+    others = np.delete(np.arange(balance.shape[0]), pin)
+    system = balance[others][:, others].tocsc()
+    rhs = -balance[others, pin].toarray().ravel()
+    incomplete = sparse_linalg.spilu(
+        system,
+        drop_tol=_ILU_DROP_TOL,
+        fill_factor=_ILU_FILL_FACTOR,
+        permc_spec="NATURAL",
+    )
+    preconditioner = sparse_linalg.LinearOperator(system.shape, incomplete.solve)
+    pinned = np.zeros(len(others))
+    for _ in range(_GMRES_CYCLES):
+        # Each cycle solves for the correction from the current residual, so
+        # GMRES's tolerance is relative to what is left, not to ``rhs``.
+        correction, _info = sparse_linalg.gmres(
+            system,
+            rhs - system @ pinned,
+            M=preconditioner,
+            rtol=_GMRES_RTOL,
+            atol=0.0,
+            restart=_GMRES_RESTART,
+            maxiter=1,
+        )
+        pinned += correction
+        yield np.insert(pinned, pin, 1.0)
 
 
 def _transient_states(chain: CTMC, bsccs: list[np.ndarray]) -> np.ndarray:
@@ -306,6 +378,7 @@ def steady_state_distribution_block(
     solve per reached BSCC and one multi-column absorption solve — the
     batch entry point of the analysis executor's steady-state groups.
     """
+    _check_method(method)
     engine = engine if engine is not None else SolverEngine()
     initial_block = np.asarray(initial_block, dtype=float)
     if initial_block.ndim != 2 or initial_block.shape[1] != chain.num_states:
@@ -366,6 +439,7 @@ def steady_state_values_per_state(
     state, every BSCC contributes a single scalar and the transient states
     mix those scalars through one multi-column absorption solve.
     """
+    _check_method(method)
     engine = engine if engine is not None else SolverEngine()
     observable = np.asarray(observable, dtype=float)
     if observable.shape != (chain.num_states,):

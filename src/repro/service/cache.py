@@ -23,8 +23,10 @@ kind               key
                    long-run linear system restricted to a state subset
                    (see :mod:`repro.ctmc.linsolve`)
 ``bscc``           (chain fingerprint,) — the BSCC decomposition
-``stationary``     (chain fingerprint, subset signature + method) — one
-                   BSCC's stationary vector
+``stationary``     (chain fingerprint, method + subset signature) — one
+                   BSCC's stationary vector, checked against its
+                   per-state balance residual (see
+                   :mod:`repro.ctmc.steady_state`)
 ``absorption``     (chain fingerprint,) — the solved transient-to-BSCC
                    absorption-probability matrix
 ``embedded``       (chain fingerprint,) — the embedded (jump-chain)

@@ -271,6 +271,7 @@ class ServiceStats:
             "dense_factorizations_total": self.session.dense_factorizations,
             "linear_solves_total": self.session.linear_solves,
             "solved_columns_total": self.session.solved_columns,
+            "stationary_solves_total": self.session.stationary_solves,
             "lumped_groups_total": self.session.lumped_groups,
             "lump_failures_total": self.session.lump_failures,
         }

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+from scipy import sparse
+
 from repro.arcade import (
     ArcadeModel,
     BasicComponent,
@@ -141,3 +144,26 @@ def make_random_model(seed: int) -> ArcadeModel:
         spare_units=(spare,),
         fault_tree=FaultTree(root),
     )
+
+
+def gth_stationary(generator) -> np.ndarray:
+    """Stationary vector of an irreducible generator by GTH elimination.
+
+    Grassmann–Taksar–Heyman state reduction on a dense copy: states are
+    folded away from the last one down, dividing each column by the folded
+    state's outflow to the states that remain, and the vector is rebuilt by
+    back substitution.  Only off-diagonal rates enter, and no step
+    subtracts, so every entry is accurate to relative precision however
+    stiff the rates.
+    """
+    rates = generator.toarray() if sparse.issparse(generator) else np.array(generator, dtype=float)
+    np.fill_diagonal(rates, 0.0)
+    size = rates.shape[0]
+    for state in range(size - 1, 0, -1):
+        rates[:state, state] /= rates[state, :state].sum()
+        rates[:state, :state] += np.outer(rates[:state, state], rates[state, :state])
+    vector = np.zeros(size)
+    vector[0] = 1.0
+    for state in range(1, size):
+        vector[state] = vector[:state] @ rates[:state, state]
+    return vector / vector.sum()

@@ -24,6 +24,9 @@ population of *generated* CTMCs:
 * the BSCC decomposition itself
   (:func:`repro.ctmc.bottom_strongly_connected_components`) against the
   boolean-closure reference.
+* every multi-state BSCC's stationary vector against a dense
+  Grassmann–Taksar–Heyman elimination (``helpers.gth_stationary``), on the
+  seeded chains and on stiff variants of them, to 1e-12.
 
 Each seeded chain (5–40 states, random density/rates, random target,
 safe-set and reward structures, including absorbing states and reducible
@@ -41,11 +44,20 @@ import pytest
 from scipy.linalg import expm
 
 from repro.analysis import AnalysisSession, MeasureKind
-from repro.ctmc import CTMC, bottom_strongly_connected_components
+from repro.ctmc import (
+    CTMC,
+    bottom_strongly_connected_components,
+    steady_state_distribution_block,
+)
 from repro.ctmc.linsolve import reachability_reward_reference
+
+from helpers import gth_stationary
 
 NUM_CHAINS = 60
 TOLERANCE = 1e-10
+
+#: Rate-scaled copies of each seeded chain in the GTH stationary check.
+STIFF_VARIANTS = 20
 
 #: Accuracy contract of the float32 sweep lane (see repro.ctmc.engines).
 F32_TOLERANCE = 1e-6
@@ -276,6 +288,45 @@ def test_bscc_decomposition_agrees_with_reference(seed: int) -> None:
     expected = sorted(_reference_bsccs(chain.rate_matrix.toarray()), key=lambda m: int(m[0]))
     actual = bottom_strongly_connected_components(chain)
     assert [members.tolist() for members in actual] == [m.tolist() for m in expected]
+
+
+@pytest.mark.parametrize("seed", range(NUM_CHAINS))
+def test_stationary_vectors_agree_with_gth(seed: int) -> None:
+    """Every multi-state BSCC's stationary vector matches GTH to 1e-12.
+
+    Besides the seeded chain, stiff variants scale the rates by factors
+    ``10**U(-5, 3)``: one factor per state's outgoing rates (exit rates
+    spanning eight orders of magnitude), and one factor per transition
+    (nearly decomposable chains, whose weak links are where a residual-only
+    solve loses accuracy).  A point mass on a BSCC's first state has that
+    BSCC's stationary vector as its long-run distribution.
+    """
+    chain, _ = random_ctmc(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    rates = chain.rate_matrix.toarray()
+    variants = [chain]
+    for shape in ((chain.num_states, 1), rates.shape):
+        variants += [
+            CTMC(rates * 10.0 ** rng.uniform(-5.0, 3.0, shape), {0: 1.0})
+            for _ in range(STIFF_VARIANTS)
+        ]
+    for variant in variants:
+        bsccs = [
+            states for states in bottom_strongly_connected_components(variant) if len(states) > 1
+        ]
+        if not bsccs:
+            continue
+        starts = np.zeros((len(bsccs), variant.num_states))
+        for row, states in enumerate(bsccs):
+            starts[row, states[0]] = 1.0
+        distributions = steady_state_distribution_block(variant, starts)
+        generator = variant.generator_matrix()
+        for row, states in enumerate(bsccs):
+            reference = gth_stationary(generator[np.ix_(states, states)])
+            difference = float(np.max(np.abs(distributions[row, states] - reference)))
+            assert difference <= 1e-12, (
+                f"seed {seed}: {len(states)}-state BSCC differs from GTH by {difference!r}"
+            )
 
 
 @pytest.mark.parametrize("lump", [False, True], ids=["unlumped", "lumped"])

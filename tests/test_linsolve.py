@@ -112,12 +112,20 @@ class TestEnginePrimitives:
         assert snapshot.kind("factorization").misses == 1
 
     def test_stats_absorb_and_reset(self):
-        stats = LinearSolveStats(factorizations=1, solves=2, columns=5)
+        stats = LinearSolveStats(
+            factorizations=1,
+            solves=2,
+            columns=5,
+            stationary_solves=3,
+            stationary_seconds=0.5,
+        )
         total = LinearSolveStats()
         total.absorb(stats)
         assert (total.factorizations, total.solves, total.columns) == (1, 2, 5)
+        assert (total.stationary_solves, total.stationary_seconds) == (3, 0.5)
         total.reset()
         assert (total.factorizations, total.solves, total.columns) == (0, 0, 0)
+        assert (total.stationary_solves, total.stationary_seconds) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------

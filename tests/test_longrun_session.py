@@ -23,8 +23,16 @@ from repro.csl import ModelChecker
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
-from repro.ctmc.linsolve import reachability_reward_reference
-from repro.ctmc.steady_state import steady_state_distribution
+from repro.ctmc.linsolve import (
+    LinearSolveStats,
+    SolverEngine,
+    reachability_reward_reference,
+)
+from repro.ctmc.steady_state import (
+    STATIONARY_TOLERANCE,
+    stationary_residual,
+    steady_state_distribution,
+)
 from repro.measures import (
     steady_state_availability,
     steady_state_availability_request,
@@ -281,6 +289,23 @@ class TestWarmAvailabilityPortfolio:
             )
             assert row[1] == pytest.approx(reference, abs=1e-12)
 
+    def test_table2_session_builds_no_factorizations(self):
+        cache = ArtifactCache()
+        stats = SessionStats()
+        table2_availability(stats=stats, artifacts=cache)
+        assert stats.requests == 2 * len(PAPER_STRATEGIES)
+        assert stats.factorizations == 0
+        assert stats.stationary_solves == 2 * len(PAPER_STRATEGIES)
+        # The session's own stationary vectors, read back from the cache.
+        engine = SolverEngine(artifacts=cache)
+        for line in (LINE1, LINE2):
+            for configuration in PAPER_STRATEGIES:
+                chain = line_state_space(line, configuration).chain
+                distribution = steady_state_distribution(chain, engine=engine)
+                residual = stationary_residual(chain.generator_matrix(), distribution)
+                assert residual <= STATIONARY_TOLERANCE == 1e-14
+        assert engine.stats.stationary_solves == 0
+
     def test_registry_exposes_the_table2_scenario(self):
         registry = paper_registry()
         assert "table2" in registry
@@ -343,6 +368,13 @@ class TestObservability:
         assert "repro_service_submissions_total 3" in text
         assert "repro_service_factorizations_total 2" in text
         assert "repro_service_flush_latency_seconds_count 1" in text
+        stats.session.absorb_linear(
+            LinearSolveStats(stationary_solves=2, stationary_seconds=0.25)
+        )
+        merged = ServiceStats()
+        merged.absorb(stats)
+        assert "repro_service_stationary_solves_total 2" in merged.metrics()
+        assert "stationary_solves=2 stationary_seconds=0.250" in merged.summary()
 
         cache = ArtifactCache()
         cache.get_or_create("bscc", ("x",), lambda: 1)

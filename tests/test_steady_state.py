@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,12 @@ from repro.ctmc import (
     bottom_strongly_connected_components,
     steady_state_distribution,
     steady_state_probability,
+    steady_state_values_per_state,
 )
+import repro.ctmc.steady_state as steady_state
+from repro.ctmc.ctmc import CTMCError
+from repro.ctmc.linsolve import SolverEngine
+from repro.ctmc.steady_state import STATIONARY_TOLERANCE, stationary_residual
 
 
 class TestBSCC:
@@ -104,27 +108,44 @@ class TestSteadyState:
         from_state_1 = steady_state_distribution(chain, np.array([0.0, 1.0, 0.0]))
         assert from_state_1 == pytest.approx([0.0, 1.0, 0.0])
 
-    def test_power_method_agrees_with_direct(self, mini_space):
+    def test_auto_method_agrees_with_direct(self, mini_space):
         chain = mini_space.chain
         direct = steady_state_distribution(chain, method="direct")
-        power = steady_state_distribution(chain, method="power")
-        assert power == pytest.approx(direct, abs=1e-9)
+        auto = steady_state_distribution(chain)
+        assert auto == pytest.approx(direct, abs=1e-12)
 
     def test_unknown_method_rejected(self, two_state_chain):
-        with pytest.raises(Exception):
-            steady_state_distribution(two_state_chain, method="banana")
+        # The absorbing chain's only BSCC is a single state, which the
+        # solver returns early for; the method is checked before that.
+        absorbing = CTMC(np.array([[0.0, 1.0], [0.0, 0.0]]), {0: 1.0})
+        for chain in (two_state_chain, absorbing):
+            with pytest.raises(CTMCError, match="banana"):
+                steady_state_distribution(chain, method="banana")
+            with pytest.raises(CTMCError, match="banana"):
+                steady_state_values_per_state(chain, np.ones(chain.num_states), method="banana")
 
-    def test_power_iteration_raises_when_it_does_not_converge(self, mini_space):
-        from repro.ctmc.ctmc import CTMCError
-        from repro.ctmc.steady_state import _power_iteration
+    def test_failed_direct_solve_raises_ctmc_error(self, two_state_chain, monkeypatch):
+        def singular(self, matrix):
+            raise RuntimeError("Factor is exactly singular")
 
-        rates = mini_space.chain.rate_matrix
-        generator = rates - sparse.diags(np.asarray(rates.sum(axis=1)).ravel())
-        with pytest.raises(ConvergenceError) as raised:
-            _power_iteration(generator, mini_space.num_states, max_iterations=5)
+        monkeypatch.setattr(SolverEngine, "build_factorization", singular)
+        with pytest.raises(CTMCError, match="direct steady-state solve failed"):
+            steady_state_distribution(two_state_chain, method="direct")
+
+    def test_stationary_solve_raises_when_it_does_not_converge(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        rates = rng.uniform(0.1, 3.0, (200, 200)) * (rng.random((200, 200)) < 0.05)
+        chain = CTMC(rates, {0: 1.0})
+        converged = steady_state_distribution(chain)
+        assert stationary_residual(chain.generator_matrix(), converged) <= STATIONARY_TOLERANCE
+
+        # One GMRES step per cycle and pin cannot meet the tolerance.
+        monkeypatch.setattr(steady_state, "_GMRES_RESTART", 1)
+        monkeypatch.setattr(steady_state, "_GMRES_CYCLES", 1)
+        with pytest.raises(ConvergenceError, match="200-state BSCC") as raised:
+            steady_state_distribution(chain)
         assert isinstance(raised.value, CTMCError)
-        converged = _power_iteration(generator, mini_space.num_states)
-        assert converged.sum() == pytest.approx(1.0)
+        assert f"{STATIONARY_TOLERANCE:g}" in str(raised.value)
 
 
 @given(
