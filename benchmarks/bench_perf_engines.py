@@ -1,6 +1,6 @@
 """Perf benchmark — dense-BLAS vs sparse-CSR engines and the auto selector.
 
-Three wall-clock gates over the pluggable numeric-engine layer
+Two wall-clock gates over the pluggable numeric-engine layer
 (:mod:`repro.ctmc.engines`), measured on the paper's own workloads with
 every artifact cache warm (the steady-state service regime):
 
@@ -15,9 +15,6 @@ every artifact cache warm (the steady-state service regime):
   selector must never lose more than the gate's slack on a mixed registry
   (small quotients go dense, the big unlumped chains stay sparse), priced
   in end-to-end warm execution wall-clock.
-
-* **float32 lane <= 1e-6 of float64** — the documented accuracy contract
-  of the reduced-precision lane, checked on the Fig. 8 curves.
 
 Every gate records its measurements into ``BENCH_engines.json``
 (read-modify-write, override the path with ``REPRO_BENCH_JSON``) for the
@@ -76,11 +73,9 @@ def _fig8_requests():
     ]
 
 
-def _fig8_session(mode, artifacts, dtype=None):
+def _fig8_session(mode, artifacts):
     stats = SessionStats()
-    session = AnalysisSession(
-        lump=True, stats=stats, artifacts=artifacts, engine=mode, dtype=dtype
-    )
+    session = AnalysisSession(lump=True, stats=stats, artifacts=artifacts, engine=mode)
     for request in _fig8_requests():
         session.add(request)
     return session, stats
@@ -184,31 +179,3 @@ def test_auto_selection_stays_close_to_always_sparse_portfolio(benchmark):
         f"warm portfolio (gate: <= 110%)"
     )
 
-
-def test_float32_lane_accuracy_on_fig8(benchmark):
-    """The float32 sweep lane honours its 1e-6 contract on real curves."""
-    artifacts = ArtifactCache()
-
-    f64_session, _ = _fig8_session("auto", artifacts)
-    f64_values = [result.squeezed for result in f64_session.execute()]
-
-    def f32_family():
-        session, _ = _fig8_session("auto", artifacts, dtype="float32")
-        return [result.squeezed for result in session.execute()]
-
-    f32_values = run_once(benchmark, f32_family)
-
-    deviation = max(
-        float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-        for a, b in zip(f32_values, f64_values)
-    )
-    print()
-    print(
-        f"Fig. 8 float32 lane: max deviation {deviation:.2e} from float64 "
-        f"(contract: <= 1e-6)"
-    )
-    _record(
-        "fig8_float32_lane",
-        {"points": LINE2_POINTS, "max_deviation_vs_float64": deviation},
-    )
-    assert deviation <= 1e-6

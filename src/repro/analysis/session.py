@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.ctmc.engines import normalise_engine_mode
 from repro.ctmc.linsolve import LinearSolveStats
 from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
 from repro.analysis.executor import execute_plan
@@ -213,9 +214,6 @@ class AnalysisSession:
         Default numeric backend for requests that do not set one — one of
         :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` falls back to
         the process-wide default (``"auto"`` unless the CLI overrode it).
-    dtype:
-        Default sweep lane (``"float64"``/``"float32"``) for requests that
-        do not set one; ``None`` falls back to the process-wide default.
     """
 
     def __init__(
@@ -227,15 +225,13 @@ class AnalysisSession:
         stats: SessionStats | None = None,
         artifacts=None,
         engine: str | None = None,
-        dtype=None,
     ) -> None:
         self.lump = lump
         self.batched = batched
         self.default_epsilon = float(epsilon)
         self.stats = stats if stats is not None else SessionStats()
         self.artifacts = artifacts
-        self.engine = engine
-        self.dtype = dtype
+        self.engine = None if engine is None else normalise_engine_mode(engine)
         self._requests: list[MeasureRequest] = []
 
     # ------------------------------------------------------------------
@@ -269,7 +265,6 @@ class AnalysisSession:
             default_epsilon=self.default_epsilon,
             artifacts=self.artifacts,
             default_engine=self.engine,
-            default_dtype=self.dtype,
         )
 
     def execute(self) -> list[MeasureResult]:

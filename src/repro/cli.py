@@ -55,6 +55,7 @@ from pathlib import Path
 
 from repro.analysis import SessionStats
 from repro.casestudy import experiments as exp
+from repro.ctmc import engines
 
 #: Family name -> callable(points, lump, batched, stats) returning the
 #: family's result tuple.  Each family runs at most once per invocation.
@@ -141,19 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "sparse", "dense"],
+        choices=engines.ENGINE_MODES,
         default="auto",
         help=(
             "numeric backend for sweeps and solves: 'auto' picks dense BLAS "
             "kernels for small/dense chains and CSR otherwise (default: auto)"
-        ),
-    )
-    parser.add_argument(
-        "--float32",
-        action="store_true",
-        help=(
-            "run forward sweeps in the float32 lane (<=1e-6 from float64; "
-            "long-run solves stay float64)"
         ),
     )
     parser.add_argument(
@@ -247,14 +240,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "sparse", "dense"],
+        choices=engines.ENGINE_MODES,
         default="auto",
         help="numeric backend for the service's sweeps/solves (default: auto)",
-    )
-    parser.add_argument(
-        "--float32",
-        action="store_true",
-        help="run the service's forward sweeps in the float32 lane",
     )
     parser.add_argument(
         "--metrics",
@@ -395,7 +383,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 default_timeout=args.timeout,
                 registry=paper_registry(),
                 engine=args.engine,
-                dtype="float32" if args.float32 else None,
                 heartbeat_interval=args.heartbeat_interval,
                 restart_limit=args.restart_limit,
                 retry_limit=args.retry_limit,
@@ -412,7 +399,6 @@ def serve_http_main(args: argparse.Namespace) -> int:
                 artifacts=ArtifactCache(),
                 registry=paper_registry(),
                 engine=args.engine,
-                dtype="float32" if args.float32 else None,
             )
         async with service:
             server = ScenarioHTTPServer(
@@ -494,7 +480,6 @@ def serve_main(argv: list[str] | None = None) -> int:
             artifacts=ArtifactCache(),
             registry=registry,
             engine=args.engine,
-            dtype="float32" if args.float32 else None,
         )
         async with service:
             # State-space construction (seconds on a cold process) must not
@@ -554,25 +539,25 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     points = args.points if args.points is not None else (21 if args.fast else 101)
-    # The experiment runners build their own sessions deep inside the case
-    # study; the engine/dtype choice travels via the process-wide defaults
-    # every build_plan falls back to.
-    from repro.ctmc import engines
-
-    engines.set_default_engine_mode(args.engine)
-    engines.set_default_dtype("float32" if args.float32 else "float64")
-
     names = list(_EXPERIMENTS) if "all" in args.experiments else list(dict.fromkeys(args.experiments))
     stats = SessionStats()
-    family_results: dict[str, tuple] = {}
-    for name in names:
-        family, index = _EXPERIMENTS[name]
-        if family not in family_results:
-            family_results[family] = _FAMILIES[family](
-                points, args.lump, args.batched, stats
-            )
-        print(_render(name, family_results[family][index], args))
-        print()
+    # The experiment runners build their own sessions deep inside the case
+    # study; the engine choice travels via the process-wide default every
+    # build_plan falls back to, and is restored when the run ends.
+    previous_engine = engines.default_engine_mode()
+    engines.set_default_engine_mode(args.engine)
+    try:
+        family_results: dict[str, tuple] = {}
+        for name in names:
+            family, index = _EXPERIMENTS[name]
+            if family not in family_results:
+                family_results[family] = _FAMILIES[family](
+                    points, args.lump, args.batched, stats
+                )
+            print(_render(name, family_results[family][index], args))
+            print()
+    finally:
+        engines.set_default_engine_mode(previous_engine)
     if stats.requests:
         print(f"[{stats.summary()}]")
     return 0

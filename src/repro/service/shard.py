@@ -97,7 +97,7 @@ from repro.analysis import MeasureRequest, MeasureResult
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     blas_thread_budget,
-    normalise_dtype,
+    normalise_engine_mode,
     pin_blas_threads,
     restore_blas_threads,
 )
@@ -215,7 +215,6 @@ async def _shard_worker(
         artifacts=ArtifactCache(config["max_entries"]),
         max_workers=config["max_workers"],
         engine=config.get("engine"),
-        dtype=config.get("dtype"),
     )
     loop = asyncio.get_running_loop()
     tasks: set[asyncio.Task] = set()
@@ -465,12 +464,14 @@ class ShardedScenarioService:
     start_method:
         ``multiprocessing`` start method; ``spawn`` (the default) keeps
         workers free of inherited interpreter state.
-    engine, dtype:
-        Default numeric backend and sweep lane forwarded to every worker's
-        service (see :class:`ScenarioService`).  When the workers may take
-        the dense-BLAS path, the front pins the BLAS thread count to
-        :func:`repro.ctmc.engines.blas_thread_budget` around the spawns so
-        N shards never oversubscribe the machine N-fold.
+    engine:
+        Default numeric backend forwarded to every worker's service (see
+        :class:`ScenarioService`); validated here, so a bad mode raises
+        :class:`~repro.ctmc.ctmc.CTMCError` before any worker is spawned.
+        When the workers may take the dense-BLAS path, the front pins the
+        BLAS thread count to :func:`repro.ctmc.engines.blas_thread_budget`
+        around the spawns so N shards never oversubscribe the machine
+        N-fold.
     heartbeat_interval, heartbeat_timeout:
         Liveness probing: a ping every ``heartbeat_interval`` seconds; a
         worker silent for ``heartbeat_timeout`` (default
@@ -522,7 +523,6 @@ class ShardedScenarioService:
         registry: ScenarioRegistry | None = None,
         start_method: str = "spawn",
         engine: str | None = None,
-        dtype=None,
         heartbeat_interval: float | None = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float | None = None,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
@@ -598,8 +598,7 @@ class ShardedScenarioService:
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
             "max_workers": max_workers,
-            "engine": engine,
-            "dtype": None if dtype is None else normalise_dtype(dtype).name,
+            "engine": None if engine is None else normalise_engine_mode(engine),
             "chaos": chaos,
         }
         self._start_method = start_method

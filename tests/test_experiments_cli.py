@@ -12,6 +12,7 @@ from repro.casestudy import experiments as exp
 from repro.casestudy.facility import StrategyConfiguration
 from repro.arcade.repair import RepairStrategy
 from repro.cli import build_parser, main
+from repro.ctmc import engines
 
 
 @pytest.fixture(autouse=True)
@@ -94,3 +95,8 @@ class TestCommandLine:
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "Figure 9" in captured.out
+
+    def test_engine_flag_does_not_leak_into_the_process_default(self, capsys):
+        previous = engines.default_engine_mode()
+        assert main(["fig9", "--points", "5", "--engine", "sparse"]) == 0
+        assert engines.default_engine_mode() == previous
