@@ -64,22 +64,18 @@ from typing import Any
 
 import numpy as np
 
+from repro.counters import SessionStats
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.dtmc import unbounded_reachability
 from repro.ctmc.engines import EngineSelector
 from repro.ctmc.foxglynn import fox_glynn
 from repro.ctmc.linsolve import (
-    LinearSolveStats,
     SolverEngine,
     expected_values_under,
     reachability_reward_values,
 )
 from repro.ctmc.steady_state import steady_state_distribution_block
-from repro.ctmc.uniformization import (
-    UniformizationStats,
-    evaluate_grid_block,
-    poisson_mixture_sweep,
-)
+from repro.ctmc.uniformization import evaluate_grid_block, poisson_mixture_sweep
 from repro.analysis.planner import (
     ExecutionGroup,
     ExecutionPlan,
@@ -153,9 +149,8 @@ class ExecutionUnit:
     def run(
         self,
         results: list[MeasureResult | None],
-        engine_stats: UniformizationStats | None = None,
+        stats: SessionStats | None = None,
         artifacts: Any | None = None,
-        linear_stats: LinearSolveStats | None = None,
         solver: SolverEngine | None = None,
     ) -> None:
         """Execute this unit, writing each member's result into ``results``.
@@ -168,14 +163,12 @@ class ExecutionUnit:
         """
         if self.longrun:
             group_index, group = self.groups[0]
-            _execute_longrun_group(
-                group, group_index, results, linear_stats, artifacts, solver
-            )
+            _execute_longrun_group(group, group_index, results, stats, artifacts, solver)
         elif self.interval:
-            _execute_interval_bundle(self.groups, results, engine_stats, artifacts)
+            _execute_interval_bundle(self.groups, results, stats, artifacts)
         else:
             group_index, group = self.groups[0]
-            _execute_group(group, group_index, results, engine_stats, artifacts)
+            _execute_group(group, group_index, results, stats, artifacts)
 
 
 def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
@@ -218,15 +211,17 @@ def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
 
 def execute_plan(
     plan: ExecutionPlan,
-    engine_stats: UniformizationStats | None = None,
+    stats: SessionStats | None = None,
     artifacts: Any | None = None,
-    linear_stats: LinearSolveStats | None = None,
 ) -> list[MeasureResult]:
-    """Run every group of ``plan`` and return results in request order."""
+    """Run every group of ``plan`` and return results in request order.
+
+    Sweeps and linear solves record their work in ``stats``.
+    """
     results: list[MeasureResult | None] = [None] * plan.num_requests
-    solver = SolverEngine(artifacts=artifacts, stats=linear_stats)
+    solver = SolverEngine(artifacts=artifacts, stats=stats)
     for unit in execution_units(plan):
-        unit.run(results, engine_stats, artifacts, linear_stats, solver)
+        unit.run(results, stats, artifacts, solver)
     return results  # type: ignore[return-value]
 
 
@@ -257,7 +252,7 @@ def _execute_group(
     group: ExecutionGroup,
     group_index: int,
     results: list[MeasureResult | None],
-    engine_stats: UniformizationStats | None,
+    stats: SessionStats | None,
     artifacts: Any | None = None,
 ) -> None:
     initial_pool = _ColumnPool()
@@ -303,7 +298,7 @@ def _execute_group(
         instantaneous=need_instantaneous,
         cumulative=need_cumulative,
         epsilon=group.epsilon,
-        stats=engine_stats,
+        stats=stats,
         engine=group.engine,
         selector=EngineSelector(artifacts),
         **_lookups(artifacts),
@@ -337,7 +332,7 @@ def _execute_longrun_group(
     group: ExecutionGroup,
     group_index: int,
     results: list[MeasureResult | None],
-    linear_stats: LinearSolveStats | None,
+    stats: SessionStats | None,
     artifacts: Any | None = None,
     solver: SolverEngine | None = None,
 ) -> None:
@@ -363,9 +358,7 @@ def _execute_longrun_group(
     if solver is not None and solver.mode == group.engine:
         engine = solver
     else:
-        engine = SolverEngine(
-            artifacts=artifacts, stats=linear_stats, mode=group.engine
-        )
+        engine = SolverEngine(artifacts=artifacts, stats=stats, mode=group.engine)
     chain = group.chain
     lumped = group.lumped
     if lumped is not None:
@@ -521,7 +514,7 @@ def _forward_interval_quotient(
 def _execute_interval_bundle(
     entries: list[tuple[int, ExecutionGroup]],
     results: list[MeasureResult | None],
-    engine_stats: UniformizationStats | None,
+    stats: SessionStats | None,
     artifacts: Any | None = None,
 ) -> None:
     first_group = entries[0][1]
@@ -574,7 +567,7 @@ def _execute_interval_bundle(
             probabilities,
             start,
             windows,
-            stats=engine_stats,
+            stats=stats,
             engine=backward_engine,
         )
         for window_index, horizon_index in enumerate(positive):
@@ -633,7 +626,7 @@ def _execute_interval_bundle(
         distributions=False,
         instantaneous=True,
         epsilon=epsilon,
-        stats=engine_stats,
+        stats=stats,
         engine=first_group.engine,
         selector=selector,
         **_lookups(artifacts),

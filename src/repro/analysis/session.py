@@ -23,161 +23,23 @@ A quick example — both Figure-4 curves of one strategy in one plan::
     results = session.execute()      # one sweep: both disasters share it
     print(session.stats.summary())
 
-The session records what it did in :class:`SessionStats` (groups, sweeps,
-matvec/flop counters, lumping compression), which the CLI prints and the
-benchmarks gate on.
+The session records what it did in :class:`repro.counters.SessionStats`
+(groups, sweeps, matvec/flop counters, factorizations, lumping
+compression): the sweeps and linear solves of ``execute()`` write the
+session's ``stats`` directly.  The CLI prints it and the benchmarks gate on
+it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
+from repro.counters import SessionStats
 from repro.ctmc.engines import normalise_engine_mode
-from repro.ctmc.linsolve import LinearSolveStats
-from repro.ctmc.uniformization import DEFAULT_EPSILON, UniformizationStats
+from repro.ctmc.uniformization import DEFAULT_EPSILON
 from repro.analysis.executor import execute_plan
 from repro.analysis.planner import ExecutionPlan, build_plan
 from repro.analysis.requests import MeasureRequest, MeasureResult
-
-
-@dataclass
-class SessionStats:
-    """Work counters aggregated over one or more ``execute()`` calls.
-
-    ``matvecs``/``applies``/``sparse_flops``/``sweeps`` follow the engine's
-    conventions (see
-    :class:`repro.ctmc.uniformization.UniformizationStats`); the lumping
-    counters record how many groups ran on a quotient chain and how much
-    state space that removed.  ``factorizations``/``linear_solves``/
-    ``solved_columns`` mirror the long-run solver engine
-    (:class:`repro.ctmc.linsolve.LinearSolveStats`): LU factorizations
-    actually built (warm cache hits do not count), triangular solve calls
-    and the right-hand-side columns they carried.  ``equivalent_nnz`` and
-    the ``*_seconds`` timers are the backend-invariant work and wall-clock
-    accounting introduced with the pluggable engine layer
-    (:mod:`repro.ctmc.engines`); ``dense_factorizations`` counts how many
-    of the LU builds took the dense LAPACK path.  ``stationary_solves`` and
-    ``stationary_seconds`` count the BSCC stationary vectors solved and
-    their wall-clock time (the long-run layer of availability tables).
-    """
-
-    requests: int = 0
-    groups: int = 0
-    sweeps: int = 0
-    matvecs: int = 0
-    applies: int = 0
-    sparse_flops: int = 0
-    equivalent_nnz: int = 0
-    sweep_seconds: float = 0.0
-    factorizations: int = 0
-    dense_factorizations: int = 0
-    linear_solves: int = 0
-    solved_columns: int = 0
-    factor_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    stationary_solves: int = 0
-    stationary_seconds: float = 0.0
-    lumped_groups: int = 0
-    lumped_states_before: int = 0
-    lumped_states_after: int = 0
-    lump_failures: int = 0
-
-    def absorb_engine(self, engine: UniformizationStats) -> None:
-        self.sweeps += engine.sweeps
-        self.matvecs += engine.matvecs
-        self.applies += engine.applies
-        self.sparse_flops += engine.sparse_flops
-        self.equivalent_nnz += engine.equivalent_nnz
-        self.sweep_seconds += engine.sweep_seconds
-
-    def absorb_linear(self, linear: LinearSolveStats) -> None:
-        self.factorizations += linear.factorizations
-        self.dense_factorizations += linear.dense_factorizations
-        self.linear_solves += linear.solves
-        self.solved_columns += linear.columns
-        self.factor_seconds += linear.factor_seconds
-        self.solve_seconds += linear.solve_seconds
-        self.stationary_solves += linear.stationary_solves
-        self.stationary_seconds += linear.stationary_seconds
-
-    def absorb(self, other: "SessionStats") -> None:
-        """Accumulate another stats object field-by-field.
-
-        Used by the sharded scenario service to merge per-shard session
-        counters into one aggregate for ``/metrics``.
-        """
-        self.requests += other.requests
-        self.groups += other.groups
-        self.sweeps += other.sweeps
-        self.matvecs += other.matvecs
-        self.applies += other.applies
-        self.sparse_flops += other.sparse_flops
-        self.equivalent_nnz += other.equivalent_nnz
-        self.sweep_seconds += other.sweep_seconds
-        self.factorizations += other.factorizations
-        self.dense_factorizations += other.dense_factorizations
-        self.linear_solves += other.linear_solves
-        self.solved_columns += other.solved_columns
-        self.factor_seconds += other.factor_seconds
-        self.solve_seconds += other.solve_seconds
-        self.stationary_solves += other.stationary_solves
-        self.stationary_seconds += other.stationary_seconds
-        self.lumped_groups += other.lumped_groups
-        self.lumped_states_before += other.lumped_states_before
-        self.lumped_states_after += other.lumped_states_after
-        self.lump_failures += other.lump_failures
-
-    def absorb_plan(self, plan: ExecutionPlan) -> None:
-        """Account for an executed plan's requests, groups and lumping.
-
-        The single bookkeeping site shared by :meth:`AnalysisSession.execute`
-        and the scenario service's flush, so the two never drift.
-        """
-        self.requests += plan.num_requests
-        self.groups += plan.num_groups
-        self.lump_failures += plan.lump_failures
-        for group in plan.groups:
-            if group.lumped is not None:
-                self.lumped_groups += 1
-                self.lumped_states_before += group.chain.num_states
-                self.lumped_states_after += group.lumped.num_blocks
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        parts = [
-            f"requests={self.requests}",
-            f"groups={self.groups}",
-            f"sweeps={self.sweeps}",
-            f"matvecs={self.matvecs}",
-            f"applies={self.applies}",
-            f"sparse_flops={self.sparse_flops}",
-        ]
-        if self.equivalent_nnz:
-            parts.append(f"equivalent_nnz={self.equivalent_nnz}")
-        if self.sweep_seconds:
-            parts.append(f"sweep_seconds={self.sweep_seconds:.3f}")
-        if self.linear_solves or self.factorizations:
-            parts.append(
-                f"factorizations={self.factorizations}"
-                f" linear_solves={self.linear_solves}"
-                f" solved_columns={self.solved_columns}"
-            )
-        if self.dense_factorizations:
-            parts.append(f"dense_factorizations={self.dense_factorizations}")
-        if self.stationary_solves:
-            parts.append(
-                f"stationary_solves={self.stationary_solves}"
-                f" stationary_seconds={self.stationary_seconds:.3f}"
-            )
-        if self.lumped_groups:
-            parts.append(
-                f"lumped {self.lumped_groups} groups "
-                f"({self.lumped_states_before}->{self.lumped_states_after} states)"
-            )
-        if self.lump_failures:
-            parts.append(f"lump_failures={self.lump_failures}")
-        return "session: " + " ".join(parts)
 
 
 class AnalysisSession:
@@ -270,12 +132,6 @@ class AnalysisSession:
     def execute(self) -> list[MeasureResult]:
         """Plan and run all registered requests; results in registration order."""
         plan = self.plan()
-        engine = UniformizationStats()
-        linear = LinearSolveStats()
-        results = execute_plan(
-            plan, engine_stats=engine, artifacts=self.artifacts, linear_stats=linear
-        )
+        results = execute_plan(plan, stats=self.stats, artifacts=self.artifacts)
         self.stats.absorb_plan(plan)
-        self.stats.absorb_engine(engine)
-        self.stats.absorb_linear(linear)
         return results

@@ -31,7 +31,6 @@ from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
 from repro.ctmc.uniformization import (
     ENGINE_STATS,
     GridResult,
-    UniformizationStats,
     evaluate_grid,
 )
 from repro.ctmc.transient import (
@@ -41,7 +40,6 @@ from repro.ctmc.transient import (
 )
 from repro.ctmc.linsolve import (
     Factorization,
-    LinearSolveStats,
     SolverEngine,
     subset_signature,
 )
@@ -70,11 +68,9 @@ __all__ = [
     "Factorization",
     "FoxGlynnWeights",
     "GridResult",
-    "LinearSolveStats",
     "MarkovRewardModel",
     "RewardStructure",
     "SolverEngine",
-    "UniformizationStats",
     "bottom_strongly_connected_components",
     "bscc_decomposition",
     "cumulative_reward",

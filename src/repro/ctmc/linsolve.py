@@ -31,24 +31,23 @@ much smaller) quotient state space.  Nothing here changes for that: the
 quotient is just another :class:`~repro.ctmc.ctmc.CTMC` with its own
 fingerprint.
 
-Work is recorded in :class:`LinearSolveStats` (factorizations built, solve
-calls, RHS columns), mirroring how
-:class:`repro.ctmc.uniformization.UniformizationStats` instruments the
-transient engine; ``benchmarks/bench_perf_linsolve.py`` gates on these
-counters.
+Work is recorded in the same :class:`repro.counters.SessionStats` object
+the uniformization sweep writes (``factorizations``, ``linear_solves``,
+``solved_columns`` and their timers); ``benchmarks/bench_perf_linsolve.py``
+gates on these counters.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
+from repro.counters import SessionStats
 from repro.ctmc.ctmc import CTMC, CTMCError, as_state_mask
 from repro.ctmc.engines import (
     DENSE_SOLVE_LIMIT,
@@ -70,71 +69,6 @@ def subset_signature(mask: np.ndarray) -> bytes:
     if array.dtype != np.bool_:
         raise CTMCError("subset signatures are taken over boolean state masks")
     return np.packbits(array).tobytes()
-
-
-@dataclass
-class LinearSolveStats:
-    """Counters describing the work performed by the solver engine.
-
-    Attributes
-    ----------
-    factorizations:
-        LU factorizations actually *built* (cache hits do not count — the
-        warm-path benchmarks gate on this staying zero for repeats).
-    solves:
-        Triangular solve calls against a factorization.
-    columns:
-        Right-hand-side columns pushed through those solves; the gap between
-        ``columns`` and ``factorizations`` is what RHS stacking amortises.
-    dense_factorizations:
-        How many of ``factorizations`` used the dense LAPACK LU (small
-        restricted systems under the ``auto``/``dense`` engine modes)
-        instead of ``splu``; always ``<= factorizations``.
-    equivalent_nnz:
-        Non-zeros of the systems factorized, summed over builds.  Dense
-        factorizations report the *sparse* non-zero count of the source
-        system, keeping the unit backend-invariant (the linear-solve analog
-        of ``UniformizationStats.equivalent_nnz``).
-    factor_seconds, solve_seconds:
-        Wall-clock seconds spent building factorizations / running
-        triangular (or LAPACK) solves.
-    stationary_solves, stationary_seconds:
-        BSCC stationary vectors actually solved (cache hits do not count)
-        and the wall-clock seconds those solves took, factorization
-        included for the ``direct`` reference method.
-    """
-
-    factorizations: int = 0
-    solves: int = 0
-    columns: int = 0
-    dense_factorizations: int = 0
-    equivalent_nnz: int = 0
-    factor_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    stationary_solves: int = 0
-    stationary_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.factorizations = 0
-        self.solves = 0
-        self.columns = 0
-        self.dense_factorizations = 0
-        self.equivalent_nnz = 0
-        self.factor_seconds = 0.0
-        self.solve_seconds = 0.0
-        self.stationary_solves = 0
-        self.stationary_seconds = 0.0
-
-    def absorb(self, other: "LinearSolveStats") -> None:
-        self.factorizations += other.factorizations
-        self.solves += other.solves
-        self.columns += other.columns
-        self.dense_factorizations += other.dense_factorizations
-        self.equivalent_nnz += other.equivalent_nnz
-        self.factor_seconds += other.factor_seconds
-        self.solve_seconds += other.solve_seconds
-        self.stationary_solves += other.stationary_solves
-        self.stationary_seconds += other.stationary_seconds
 
 
 class Factorization(SparseFactorization):
@@ -166,8 +100,9 @@ class SolverEngine:
         while independent calls stay isolated (the per-call reference
         behaviour).
     stats:
-        Optional shared :class:`LinearSolveStats`; the analysis session and
-        the scenario service aggregate several engines into one object.
+        Optional shared :class:`repro.counters.SessionStats`; the analysis
+        session and the scenario service let several engines and sweeps
+        write one object.
     mode:
         Engine mode for factorizations.  ``"auto"`` (the default) uses the
         dense LAPACK LU for systems of order ≤
@@ -180,11 +115,11 @@ class SolverEngine:
     def __init__(
         self,
         artifacts: Any | None = None,
-        stats: LinearSolveStats | None = None,
+        stats: SessionStats | None = None,
         mode: str = "auto",
     ) -> None:
         self.artifacts = artifacts
-        self.stats = stats if stats is not None else LinearSolveStats()
+        self.stats = stats if stats is not None else SessionStats()
         self.mode = normalise_engine_mode(mode)
         self._local: dict[tuple, Any] = {}
 
@@ -224,7 +159,6 @@ class SolverEngine:
         else:
             factorization = Factorization(matrix)
         self.stats.factorizations += 1
-        self.stats.equivalent_nnz += factorization.nnz
         self.stats.factor_seconds += time.perf_counter() - started
         return factorization
 
@@ -251,8 +185,8 @@ class SolverEngine:
     def solve(self, factorization: Factorization, rhs: np.ndarray) -> np.ndarray:
         """Solve against a factorization, counting the RHS columns."""
         rhs = np.asarray(rhs, dtype=float)
-        self.stats.solves += 1
-        self.stats.columns += 1 if rhs.ndim == 1 else rhs.shape[1]
+        self.stats.linear_solves += 1
+        self.stats.solved_columns += 1 if rhs.ndim == 1 else rhs.shape[1]
         started = time.perf_counter()
         solution = factorization.solve(rhs)
         self.stats.solve_seconds += time.perf_counter() - started

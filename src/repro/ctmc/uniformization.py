@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from repro.counters import SessionStats
 from repro.ctmc.ctmc import CTMC, CTMCError
 from repro.ctmc.engines import Engine, EngineSelector, SparseEngine
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
@@ -64,69 +65,10 @@ DEFAULT_BLOCK_SIZE = 64
 BLOCK_FOLD_ELEMENT_LIMIT = 4096
 
 
-@dataclass
-class UniformizationStats:
-    """Counters describing the work performed by the engine.
-
-    Attributes
-    ----------
-    matvecs:
-        Number of sparse matrix–vector products performed, counted per
-        *column*: one application of the operator to a ``(num_states, B)``
-        block counts as ``B`` matvecs (the legacy per-curve unit).
-    applies:
-        Number of sparse operator applications (each mat–vec or mat–mat
-        product counts once, regardless of how many columns it carries).
-        The gap between ``matvecs`` and ``applies`` is exactly what
-        multi-initial batching amortises.
-    sparse_flops:
-        Estimated scalar multiply–adds spent inside sparse products:
-        ``nnz(operator) × columns`` per application.  This is the unit the
-        batched-sweep benchmarks gate on, because it also reflects lumping
-        (a quotient operator has far fewer non-zeros).
-    sweeps:
-        Number of vector-power sweeps (one per engine invocation with a
-        non-trivial grid).
-    equivalent_nnz:
-        Equivalent non-zeros traversed by operator applications:
-        ``Σ applies × nnz(source CSR operator)``.  Dense GEMMs report the
-        *source* CSR non-zero count (see
-        :class:`repro.ctmc.engines.Engine`), so this unit — like
-        ``sparse_flops`` — stays comparable across backends instead of
-        silently bypassing the perf-bench gates.
-    sweep_seconds:
-        Wall-clock seconds spent inside the vector-power sweeps.
-    """
-
-    matvecs: int = 0
-    applies: int = 0
-    sparse_flops: int = 0
-    sweeps: int = 0
-    equivalent_nnz: int = 0
-    sweep_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.matvecs = 0
-        self.applies = 0
-        self.sparse_flops = 0
-        self.sweeps = 0
-        self.equivalent_nnz = 0
-        self.sweep_seconds = 0.0
-
-    def add(self, other: "UniformizationStats") -> None:
-        """Accumulate another counter object into this one."""
-        self.matvecs += other.matvecs
-        self.applies += other.applies
-        self.sparse_flops += other.sparse_flops
-        self.sweeps += other.sweeps
-        self.equivalent_nnz += other.equivalent_nnz
-        self.sweep_seconds += other.sweep_seconds
-
-
 #: Process-wide counters, updated by every sweep.  Benchmarks read deltas of
 #: this object to report *measured* matvec counts without plumbing a stats
 #: object through the measure layers.
-ENGINE_STATS = UniformizationStats()
+ENGINE_STATS = SessionStats()
 
 #: Counter updates happen once per sweep, so serialising them is free; the
 #: lock keeps the counters exact when the scenario service runs independent
@@ -209,7 +151,7 @@ def poisson_mixture_sweep(
     windows: Sequence[FoxGlynnWeights],
     rewards: np.ndarray | None = None,
     collect_mixtures: bool = True,
-    stats: UniformizationStats | None = None,
+    stats: SessionStats | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     engine: Engine | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -393,7 +335,7 @@ def evaluate_grid_block(
     instantaneous: bool = False,
     cumulative: bool = False,
     epsilon: float = DEFAULT_EPSILON,
-    stats: UniformizationStats | None = None,
+    stats: SessionStats | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
     window_lookup: WindowLookup | None = None,
     operator_lookup: OperatorLookup | None = None,
@@ -490,7 +432,7 @@ def evaluate_grid_block(
     make_window = fox_glynn if window_lookup is None else window_lookup
     windows = [make_window(q * float(unique_times[i]), epsilon) for i in positive]
 
-    local = UniformizationStats()
+    local = SessionStats()
     mixtures, reward_sequence = poisson_mixture_sweep(
         transposed,
         initials,
@@ -502,7 +444,7 @@ def evaluate_grid_block(
         engine=engine_obj,
     )
     if stats is not None:
-        stats.add(local)
+        stats.absorb(local)
 
     num_unique = unique_times.shape[0]
     unique_dist = (
@@ -572,7 +514,7 @@ def evaluate_grid(
     instantaneous: bool = False,
     cumulative: bool = False,
     epsilon: float = DEFAULT_EPSILON,
-    stats: UniformizationStats | None = None,
+    stats: SessionStats | None = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GridResult:
     """Evaluate transient and/or reward measures on a whole time grid at once.

@@ -20,6 +20,7 @@ import argparse
 
 from repro.casestudy.facility import LINE1, LINE2, build_line
 from repro.casestudy.reporting import format_table
+from repro.counters import prometheus_text
 from repro.ctmc.linsolve import SolverEngine
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP
 from repro.optimize.policy_iteration import evaluate_policy, policy_iteration
@@ -157,10 +158,7 @@ def _print_longrun(ctmdp: RepairCTMDP, objective: str, max_iterations: int) -> i
         f"({changed} states reassigned, gain {best_gain:.6e} -> {result.gain:.6e})"
     )
     print(f"[{stats.summary()}]")
-    print(
-        f"[linsolve: {engine.stats.factorizations} factorizations, "
-        f"{engine.stats.solves} solves, {engine.stats.columns} RHS columns]"
-    )
+    print(f"[{engine.stats.summary()}]")
     global_optimizer_stats().absorb(stats)
     return 0 if result.converged else 1
 
@@ -243,5 +241,5 @@ def optimize_main(argv: list[str] | None = None) -> int:
         return 2
     if args.metrics:
         print()
-        print(global_optimizer_stats().metrics())
+        print(prometheus_text([("repro_optimizer", global_optimizer_stats())]), end="")
     return code

@@ -1,7 +1,9 @@
 """Work counters for the repair-policy optimizers.
 
-:class:`OptimizerStats` plays the role :class:`repro.analysis.SessionStats`
-plays for sweeps: every policy-iteration and rollout run records how many
+:class:`OptimizerStats` is a :class:`repro.counters.Counters` dataclass
+(``absorb``, ``summary()`` and its Prometheus series are derived from the
+fields) that plays the role :class:`repro.counters.SessionStats` plays for
+sweeps: every policy-iteration and rollout run records how many
 exact policy evaluations it paid for, how many one-step action deviations it
 scored, and how many uniformization sweeps those deviations actually cost
 after coalescing (the rollout submits all candidates of a round as one
@@ -10,17 +12,20 @@ identity-block request, so ``K`` candidates ride ~1 shared sweep instead of
 the benchmark gates on.
 
 A process-wide aggregate (:func:`global_optimizer_stats`) feeds the
-Prometheus ``/metrics`` dump of the scenario service, so operators see
-optimizer work next to sweep and cache counters.
+``/metrics`` dump of both scenario-service fronts, so operators see
+optimizer work next to sweep and cache counters.  It stays process-wide
+because registry expansion runs the optimizer with no stats object in hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.counters import Counters, exported_as
 
 
 @dataclass
-class OptimizerStats:
+class OptimizerStats(Counters):
     """Counters for one (or many aggregated) optimizer runs.
 
     Attributes
@@ -43,7 +48,8 @@ class OptimizerStats:
     cache_hits:
         Induced chains and evaluations served from the optimizer-level
         memo instead of being rebuilt (artifact-cache hits underneath are
-        counted by :class:`repro.service.CacheStats` as usual).
+        counted by :class:`repro.service.CacheStats` as usual); exported
+        as ``repro_optimizer_memo_hits_total``.
     """
 
     policy_improvements: int = 0
@@ -52,50 +58,14 @@ class OptimizerStats:
     baseline_evaluations: int = 0
     candidate_actions: int = 0
     coalesced_sweeps: int = 0
-    cache_hits: int = 0
+    cache_hits: int = exported_as("memo_hits")
 
-    # ------------------------------------------------------------------
+    derived = {"sweeps_saved": "counter"}
+
     @property
     def sweeps_saved(self) -> int:
         """Sweeps avoided by scoring candidates off shared value blocks."""
         return max(0, self.candidate_actions - self.coalesced_sweeps)
-
-    def absorb(self, other: "OptimizerStats") -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
-
-    def summary(self) -> str:
-        return (
-            f"optimizer: {self.policy_evaluations} policy evaluations, "
-            f"{self.policy_improvements} improvement rounds, "
-            f"{self.rollout_iterations} rollout iterations, "
-            f"{self.candidate_actions} candidate deviations on "
-            f"{self.coalesced_sweeps} coalesced sweeps "
-            f"({self.sweeps_saved} sweeps saved), "
-            f"{self.baseline_evaluations} baselines, {self.cache_hits} memo hits"
-        )
-
-    def metrics(self, prefix: str = "repro_optimizer") -> str:
-        """Prometheus text-format counters (appended to ``/metrics``)."""
-        counters = {
-            "policy_improvements_total": self.policy_improvements,
-            "rollout_iterations_total": self.rollout_iterations,
-            "policy_evaluations_total": self.policy_evaluations,
-            "baseline_evaluations_total": self.baseline_evaluations,
-            "candidate_actions_total": self.candidate_actions,
-            "coalesced_sweeps_total": self.coalesced_sweeps,
-            "sweeps_saved_total": self.sweeps_saved,
-            "memo_hits_total": self.cache_hits,
-        }
-        lines = []
-        for name, value in counters.items():
-            lines.append(f"# TYPE {prefix}_{name} counter")
-            lines.append(f"{prefix}_{name} {value}")
-        return "\n".join(lines)
 
 
 #: Process-wide aggregate served by the scenario service's ``/metrics``.

@@ -38,6 +38,7 @@ See ``examples/scenario_service.py`` for a runnable multi-client demo and
 ``python -m repro serve`` for the portfolio-sweeping CLI.
 """
 
+from repro.counters import DEFAULT_LATENCY_BUCKETS, LatencyHistogram
 from repro.service.cache import (
     DEFAULT_MAX_ENTRIES,
     GLOBAL_ARTIFACTS,
@@ -54,9 +55,7 @@ from repro.service.chaos import (
 )
 from repro.service.dispatcher import (
     DEFAULT_COALESCE_WINDOW,
-    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_MAX_BATCH,
-    LatencyHistogram,
     QueueFull,
     ScenarioService,
     ScenarioTimeout,

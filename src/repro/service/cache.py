@@ -74,11 +74,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from repro.counters import Counters, labelled
 from repro.ctmc.ctmc import CTMC
 from repro.ctmc.foxglynn import FoxGlynnWeights, fox_glynn
 
@@ -95,7 +96,7 @@ _ABSENT = object()
 
 
 @dataclass
-class CacheKindStats:
+class CacheKindStats(Counters):
     """Hit/miss/eviction counters for one artifact kind."""
 
     hits: int = 0
@@ -106,26 +107,15 @@ class CacheKindStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    def copy(self) -> "CacheKindStats":
-        return CacheKindStats(self.hits, self.misses, self.evictions)
-
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """A snapshot of the cache's per-kind counters."""
 
-    kinds: dict[str, CacheKindStats] = field(default_factory=dict)
+    kinds: dict[str, CacheKindStats] = labelled("kind", of=CacheKindStats)
 
     def kind(self, name: str) -> CacheKindStats:
         return self.kinds.get(name, CacheKindStats())
-
-    def absorb(self, other: "CacheStats") -> None:
-        """Accumulate another snapshot (e.g. one shard's cache counters)."""
-        for name, stats in other.kinds.items():
-            mine = self.kinds.setdefault(name, CacheKindStats())
-            mine.hits += stats.hits
-            mine.misses += stats.misses
-            mine.evictions += stats.evictions
 
     def misses_since(self, earlier: "CacheStats") -> dict[str, int]:
         """Per-kind miss deltas relative to an earlier snapshot.
@@ -137,29 +127,6 @@ class CacheStats:
             name: stats.misses - earlier.kind(name).misses
             for name, stats in self.kinds.items()
         }
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        parts = [
-            f"{name}={stats.hits}h/{stats.misses}m"
-            + (f"/{stats.evictions}e" if stats.evictions else "")
-            for name, stats in sorted(self.kinds.items())
-        ]
-        return "cache: " + (" ".join(parts) if parts else "(empty)")
-
-    def metrics(self, prefix: str = "repro_cache") -> str:
-        """A ``/metrics``-style text dump, one labelled series per kind.
-
-        Complements :meth:`repro.service.ServiceStats.metrics`; printed by
-        ``python -m repro serve --metrics``.
-        """
-        lines: list[str] = []
-        for counter in ("hits", "misses", "evictions"):
-            metric = f"{prefix}_{counter}_total"
-            lines.append(f"# TYPE {metric} counter")
-            for name, stats in sorted(self.kinds.items()):
-                lines.append(f'{metric}{{kind="{name}"}} {getattr(stats, counter)}')
-        return "\n".join(lines)
 
 
 class ArtifactCache:
@@ -260,10 +227,10 @@ class ArtifactCache:
 
     def stats(self) -> CacheStats:
         """A consistent snapshot of the per-kind counters."""
+        snapshot = CacheStats()
         with self._lock:
-            return CacheStats(
-                {name: counters.copy() for name, counters in self._stats.items()}
-            )
+            snapshot.absorb(CacheStats(self._stats))
+        return snapshot
 
     def chain_fingerprints(self) -> frozenset[str]:
         """The chain fingerprints that currently key at least one artifact.

@@ -38,6 +38,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.counters import series
 from repro.service.dispatcher import QueueFull, ScenarioTimeout
 from repro.service.shard import ShardCrashed
 
@@ -385,12 +386,11 @@ class ScenarioHTTPServer:
         text = self.service.metrics_text()
         if inspect.isawaitable(text):  # the sharded front aggregates async
             text = await text
-        lines = ["# TYPE repro_http_requests_total counter"]
-        for (route, status), count in sorted(self.request_counts.items()):
-            lines.append(
-                f'repro_http_requests_total{{route="{route}",status="{status}"}} {count}'
-            )
-        body = text + "\n".join(lines) + "\n"
+        samples = {
+            f'route="{route}",status="{status}"': count
+            for (route, status), count in sorted(self.request_counts.items())
+        }
+        body = text + "\n".join(series("repro_http_requests_total", "counter", samples)) + "\n"
         return 200, "text/plain; version=0.0.4; charset=utf-8", body.encode()
 
     async def _post_scenario(self, body: bytes) -> tuple[int, str, bytes]:

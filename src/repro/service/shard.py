@@ -94,6 +94,7 @@ import multiprocessing
 import os
 
 from repro.analysis import MeasureRequest, MeasureResult
+from repro.counters import Counters, labelled, series
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     blas_thread_budget,
@@ -112,6 +113,7 @@ from repro.service.dispatcher import (
     ServiceClosed,
     ServiceStats,
     await_with_deadline,
+    render_metrics,
 )
 from repro.service.registry import ScenarioRegistry, paper_registry
 
@@ -349,12 +351,17 @@ class ShardSnapshot:
     restarts: int = 0
 
 
+def _per_shard():
+    return labelled("shard", prefix="repro_shard")
+
+
 @dataclass
-class ShardedServiceStats:
+class ShardedServiceStats(Counters):
     """Front-end counters of the sharded service (routing layer only).
 
     Per-shard execution counters live in the workers and are fetched on
-    demand through :meth:`ShardedScenarioService.shard_snapshots`.
+    demand through :meth:`ShardedScenarioService.shard_snapshots`.  The
+    per-shard dicts are exported as ``repro_shard_<name>_total{shard="i"}``.
     """
 
     submissions: int = 0
@@ -367,29 +374,13 @@ class ShardedServiceStats:
     #: Submissions rejected because no shard (owner or failover) could
     #: serve them — the dead-shard fast-fail path.
     routed_dead: int = 0
-    routed: dict[int, int] = field(default_factory=dict)
+    routed: dict[int, int] = _per_shard()
     #: Supervisor restarts per shard index.
-    restarts: dict[int, int] = field(default_factory=dict)
+    restarts: dict[int, int] = _per_shard()
     #: Dispatches diverted away from an owning shard, per owner index.
-    failovers: dict[int, int] = field(default_factory=dict)
+    failovers: dict[int, int] = _per_shard()
     #: Wedge detections (heartbeat timeouts that led to a kill), per shard.
-    heartbeat_misses: dict[int, int] = field(default_factory=dict)
-
-    def summary(self) -> str:
-        """One line for CLI output and logs."""
-        per_shard = " ".join(
-            f"shard{index}={count}" for index, count in sorted(self.routed.items())
-        )
-        return (
-            f"sharded: submissions={self.submissions} completed={self.completed} "
-            f"failed={self.failed} rejected={self.rejected} "
-            f"timeouts={self.timeouts} retries={self.retries} "
-            f"routed_dead={self.routed_dead} "
-            f"restarts={sum(self.restarts.values())} "
-            f"failovers={sum(self.failovers.values())} "
-            f"heartbeat_misses={sum(self.heartbeat_misses.values())} "
-            f"routed: {per_shard or '(none)'}"
-        )
+    heartbeat_misses: dict[int, int] = _per_shard()
 
 
 @dataclass
@@ -587,8 +578,12 @@ class ShardedScenarioService:
         self.shutdown_grace = float(shutdown_grace)
         self.snapshot_timeout = float(snapshot_timeout)
         self.registry = registry if registry is not None else paper_registry()
+        shards = range(self.num_shards)
         self.stats = ShardedServiceStats(
-            routed={index: 0 for index in range(self.num_shards)}
+            routed=dict.fromkeys(shards, 0),
+            restarts=dict.fromkeys(shards, 0),
+            failovers=dict.fromkeys(shards, 0),
+            heartbeat_misses=dict.fromkeys(shards, 0),
         )
         self._worker_config = {
             "coalesce_window": float(coalesce_window),
@@ -1286,8 +1281,8 @@ class ShardedScenarioService:
 
         Shard counters are summed into the same ``repro_service_*`` /
         ``repro_cache_*`` series a single-process service exposes (so
-        dashboards work unchanged), followed by front-end routing and
-        supervision series with per-shard labels.
+        dashboards work unchanged), followed by the front's routing and
+        supervision counters and per-shard gauges.
         """
         snapshots = await self.shard_snapshots()
         combined_service = ServiceStats()
@@ -1297,54 +1292,24 @@ class ShardedScenarioService:
                 combined_service.absorb(snapshot.service)
             if snapshot.cache is not None:
                 combined_cache.absorb(snapshot.cache)
-        lines = [combined_service.metrics(), combined_cache.metrics()]
-        front = {
-            "submissions_total": self.stats.submissions,
-            "completed_total": self.stats.completed,
-            "failed_total": self.stats.failed,
-            "rejected_total": self.stats.rejected,
-            "timeouts_total": self.stats.timeouts,
-            "retries_total": self.stats.retries,
-            "routed_dead_total": self.stats.routed_dead,
+        gauges = {
+            "repro_shard_alive": {
+                f'shard="{one.index}"': int(one.alive) for one in snapshots
+            },
+            "repro_shard_state": {
+                f'shard="{one.index}",state="{one.state}"': 1 for one in snapshots
+            },
+            "repro_shard_owned_chains": {
+                f'shard="{one.index}"': len(one.fingerprints) for one in snapshots
+            },
         }
-        front_lines = []
-        for name, value in front.items():
-            metric = f"repro_front_{name}"
-            front_lines.append(f"# TYPE {metric} counter")
-            front_lines.append(f"{metric} {value}")
-        front_lines.append("# TYPE repro_shard_alive gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_alive{{shard="{snapshot.index}"}} '
-                f"{1 if snapshot.alive else 0}"
-            )
-        front_lines.append("# TYPE repro_shard_state gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_state{{shard="{snapshot.index}",'
-                f'state="{snapshot.state}"}} 1'
-            )
-        front_lines.append("# TYPE repro_shard_routed_total counter")
-        for index in sorted(self.stats.routed):
-            front_lines.append(
-                f'repro_shard_routed_total{{shard="{index}"}} '
-                f"{self.stats.routed[index]}"
-            )
-        for name, per_shard in (
-            ("repro_shard_restarts_total", self.stats.restarts),
-            ("repro_shard_failovers_total", self.stats.failovers),
-            ("repro_shard_heartbeat_misses_total", self.stats.heartbeat_misses),
-        ):
-            front_lines.append(f"# TYPE {name} counter")
-            for index in range(self.num_shards):
-                front_lines.append(
-                    f'{name}{{shard="{index}"}} {per_shard.get(index, 0)}'
-                )
-        front_lines.append("# TYPE repro_shard_owned_chains gauge")
-        for snapshot in snapshots:
-            front_lines.append(
-                f'repro_shard_owned_chains{{shard="{snapshot.index}"}} '
-                f"{len(snapshot.fingerprints)}"
-            )
-        lines.append("\n".join(front_lines))
-        return "\n".join(lines) + "\n"
+        return render_metrics(
+            combined_service,
+            combined_cache,
+            front=[("repro_front", self.stats)],
+            extra=[
+                line
+                for name, samples in gauges.items()
+                for line in series(name, "gauge", samples)
+            ],
+        )

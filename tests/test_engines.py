@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest
+from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc import engines
@@ -37,7 +37,7 @@ from repro.ctmc.engines import (
     pin_blas_threads,
     restore_blas_threads,
 )
-from repro.ctmc.uniformization import UniformizationStats, evaluate_grid_block
+from repro.ctmc.uniformization import evaluate_grid_block
 from repro.service.cache import DENSE_WEIGHT_UNIT_BYTES, ArtifactCache
 
 
@@ -117,7 +117,7 @@ class TestBackendEquivalence:
         chain = make_chain(6)
         flops, equivalents = [], []
         for mode in (None, "sparse", "dense"):
-            stats = UniformizationStats()
+            stats = SessionStats()
             self._sweep(chain, engine=mode, stats=stats)
             flops.append(stats.sparse_flops)
             if mode is not None:

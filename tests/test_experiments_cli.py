@@ -96,6 +96,17 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "Figure 9" in captured.out
 
+    def test_serve_metrics_prints_the_metrics_text(self, capsys):
+        exit_code = main(
+            ["serve", "--fast", "--scenarios", "fig3", "--points", "5", "--metrics"]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "# TYPE repro_optimizer_policy_evaluations_total counter" in out
+        assert "# TYPE repro_cache_hits_total counter" in out
+        types = [line for line in out.splitlines() if line.startswith("# TYPE")]
+        assert len(types) == len(set(types))  # one dump, not two
+
     def test_engine_flag_does_not_leak_into_the_process_default(self, capsys):
         previous = engines.default_engine_mode()
         assert main(["fig9", "--points", "5", "--engine", "sparse"]) == 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import SessionStats
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.dtmc import (
@@ -22,7 +23,6 @@ from repro.ctmc.dtmc import (
 )
 from repro.ctmc.linsolve import (
     Factorization,
-    LinearSolveStats,
     SolverEngine,
     expected_values_under,
     reachability_reward_reference,
@@ -87,13 +87,13 @@ class TestEnginePrimitives:
         assert engine.stats.factorizations == 1
         engine.solve(first, np.ones(4))
         engine.solve(first, np.ones((4, 3)))
-        assert engine.stats.solves == 2
-        assert engine.stats.columns == 4
+        assert engine.stats.linear_solves == 2
+        assert engine.stats.solved_columns == 4
 
     def test_engines_share_factorizations_through_artifact_cache(self):
         chain = random_chain(8, seed=2)
         cache = ArtifactCache()
-        stats = LinearSolveStats()
+        stats = SessionStats()
         token = b"shared|" + subset_signature(np.ones(8, dtype=bool))
 
         def builder():
@@ -110,22 +110,6 @@ class TestEnginePrimitives:
         snapshot = cache.stats()
         assert snapshot.kind("factorization").hits == 1
         assert snapshot.kind("factorization").misses == 1
-
-    def test_stats_absorb_and_reset(self):
-        stats = LinearSolveStats(
-            factorizations=1,
-            solves=2,
-            columns=5,
-            stationary_solves=3,
-            stationary_seconds=0.5,
-        )
-        total = LinearSolveStats()
-        total.absorb(stats)
-        assert (total.factorizations, total.solves, total.columns) == (1, 2, 5)
-        assert (total.stationary_solves, total.stationary_seconds) == (3, 0.5)
-        total.reset()
-        assert (total.factorizations, total.solves, total.columns) == (0, 0, 0)
-        assert (total.stationary_solves, total.stationary_seconds) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ dumps) reports what happened.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from repro.csl import ModelChecker
 from repro.ctmc import CTMC, MarkovRewardModel, RewardStructure
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.dtmc import unbounded_reachability
+from repro.counters import prometheus_text
 from repro.ctmc.linsolve import (
-    LinearSolveStats,
     SolverEngine,
     reachability_reward_reference,
 )
@@ -39,12 +41,15 @@ from repro.measures import (
 )
 from repro.service import (
     ArtifactCache,
+    CacheKindStats,
     CacheStats,
     LatencyHistogram,
     ScenarioService,
     ServiceStats,
+    ShardedServiceStats,
     paper_registry,
 )
+from repro.optimize import OptimizerStats, global_optimizer_stats
 
 
 def cycle_chain(num_states: int = 5) -> CTMC:
@@ -364,22 +369,182 @@ class TestObservability:
         stats.submissions = 3
         stats.session.factorizations = 2
         stats.flush_latency.observe(0.02)
-        text = stats.metrics()
+        text = prometheus_text([("repro_service", stats)])
         assert "repro_service_submissions_total 3" in text
         assert "repro_service_factorizations_total 2" in text
         assert "repro_service_flush_latency_seconds_count 1" in text
-        stats.session.absorb_linear(
-            LinearSolveStats(stationary_solves=2, stationary_seconds=0.25)
-        )
+        stats.session.absorb(SessionStats(stationary_solves=2, stationary_seconds=0.25))
         merged = ServiceStats()
         merged.absorb(stats)
-        assert "repro_service_stationary_solves_total 2" in merged.metrics()
+        text = prometheus_text([("repro_service", merged)])
+        assert "repro_service_stationary_solves_total 2" in text
         assert "stationary_solves=2 stationary_seconds=0.250" in merged.summary()
 
         cache = ArtifactCache()
         cache.get_or_create("bscc", ("x",), lambda: 1)
         cache.get_or_create("bscc", ("x",), lambda: 1)
-        text = cache.stats().metrics()
+        text = prometheus_text([("repro_cache", cache.stats())])
         assert 'repro_cache_hits_total{kind="bscc"} 1' in text
         assert 'repro_cache_misses_total{kind="bscc"} 1' in text
         assert isinstance(cache.stats(), CacheStats)
+
+    def test_metrics_series_and_absorb_are_pinned(self):
+        """Every ``/metrics`` series keeps its name, labels and value, and
+        ``absorb`` of a fully populated counter object into an empty one
+        reproduces it field for field (a second absorb doubles every
+        counter, except the ``max``-merged high-water marks)."""
+        chain = cycle_chain()
+        batch = [
+            MeasureRequest(
+                chain=chain, times=(0.5, 1.0), kind=MeasureKind.REACHABILITY,
+                target="goal",
+            ),
+            MeasureRequest(
+                chain=chain, times=(), kind=MeasureKind.STEADY_STATE, target="goal"
+            ),
+            MeasureRequest(
+                chain=chain, times=(), kind=MeasureKind.REACHABILITY_REWARD,
+                target="goal", rewards=np.ones(chain.num_states),
+            ),
+        ]
+
+        async def run():
+            async with ScenarioService(artifacts=ArtifactCache()) as service:
+                for _ in range(2):
+                    await service.submit_many(batch)
+                return service.metrics_text()
+
+        series = parse_series(asyncio.run(run()))
+        optimizer = global_optimizer_stats()
+        expected = dict(PINNED_SERVICE_SERIES)
+        for name, value in {
+            "policy_improvements": optimizer.policy_improvements,
+            "rollout_iterations": optimizer.rollout_iterations,
+            "policy_evaluations": optimizer.policy_evaluations,
+            "baseline_evaluations": optimizer.baseline_evaluations,
+            "candidate_actions": optimizer.candidate_actions,
+            "coalesced_sweeps": optimizer.coalesced_sweeps,
+            "sweeps_saved": optimizer.sweeps_saved,
+            "memo_hits": optimizer.cache_hits,
+        }.items():
+            expected[(f"repro_optimizer_{name}_total", "")] = value
+        for counter in ("hits", "misses", "evictions"):
+            for kind in PINNED_CACHE_KINDS:
+                expected[(f"repro_cache_{counter}_total", f'kind="{kind}"')] = (
+                    0 if counter == "evictions" else 2 if kind == "foxglynn" else 1
+                )
+        for bound in ("0.001", "0.0025", "0.005", "0.01", "0.025", "0.05",
+                      "0.1", "0.25", "0.5", "1.0", "2.5", "5.0"):
+            expected[
+                ("repro_service_flush_latency_seconds_bucket", f'le="{bound}"')
+            ] = None
+        for key, value in expected.items():
+            assert key in series, key
+            if value is not None:
+                assert series[key] == value, key
+
+        for cls in (
+            SessionStats,
+            ServiceStats,
+            CacheKindStats,
+            CacheStats,
+            ShardedServiceStats,
+            OptimizerStats,
+        ):
+            source = filled(cls())
+            total = cls()
+            total.absorb(source)
+            assert dataclasses.asdict(total) == dataclasses.asdict(source), cls
+            total.absorb(source)
+            assert dataclasses.asdict(total) == doubled(
+                dataclasses.asdict(source)
+            ), cls
+
+
+#: The series a two-flush ScenarioService run of three small requests emits
+#: (name, labels) -> value; ``None`` pins the series but not its value.
+PINNED_SERVICE_SERIES = {
+    ("repro_service_submissions_total", ""): 6,
+    ("repro_service_completed_total", ""): 6,
+    ("repro_service_failed_total", ""): 0,
+    ("repro_service_rejected_total", ""): 0,
+    ("repro_service_timeouts_total", ""): 0,
+    ("repro_service_flushes_total", ""): 2,
+    ("repro_service_largest_flush", ""): 3,
+    ("repro_service_requests_total", ""): 6,
+    ("repro_service_groups_total", ""): 6,
+    ("repro_service_sweeps_total", ""): 2,
+    ("repro_service_matvecs_total", ""): 36,
+    ("repro_service_applies_total", ""): 36,
+    ("repro_service_sparse_flops_total", ""): 324,
+    ("repro_service_equivalent_nnz_total", ""): 324,
+    ("repro_service_factorizations_total", ""): 1,
+    ("repro_service_dense_factorizations_total", ""): 1,
+    ("repro_service_linear_solves_total", ""): 2,
+    ("repro_service_solved_columns_total", ""): 2,
+    ("repro_service_stationary_solves_total", ""): 1,
+    ("repro_service_lumped_groups_total", ""): 0,
+    ("repro_service_lump_failures_total", ""): 0,
+    ("repro_service_flush_latency_seconds_bucket", 'le="+Inf"'): 2,
+    ("repro_service_flush_latency_seconds_sum", ""): None,
+    ("repro_service_flush_latency_seconds_count", ""): 2,
+}
+
+PINNED_CACHE_KINDS = (
+    "bscc", "dense_operator", "embedded", "engine", "factorization",
+    "foxglynn", "operator", "stationary", "transformed",
+)
+
+#: High-water marks: ``absorb`` merges these with ``max``, not ``+``.
+MAX_MERGED = ("largest_flush", "max_seconds")
+
+
+def parse_series(text: str) -> dict[tuple[str, str], float]:
+    """Prometheus text -> {(name, labels): value}; comment lines skipped."""
+    series = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            name_labels, value = line.rsplit(" ", 1)
+            name, _, labels = name_labels.partition("{")
+            series[(name, labels.rstrip("}"))] = float(value)
+    return series
+
+
+def filled(counters):
+    """``counters`` with a distinct non-zero value in every field."""
+    values = itertools.count(3)
+
+    def fill(target) -> None:
+        for spec in dataclasses.fields(target):
+            current = getattr(target, spec.name)
+            if isinstance(current, LatencyHistogram):
+                for seconds in (0.002, 0.2, 7.0):
+                    current.observe(seconds)
+            elif dataclasses.is_dataclass(current):
+                fill(current)
+            elif spec.name == "kinds":
+                for kind in ("bscc", "operator"):
+                    stats = CacheKindStats()
+                    fill(stats)
+                    current[kind] = stats
+            elif isinstance(current, dict):
+                current.update({0: next(values), 1: next(values)})
+            elif isinstance(current, float):
+                setattr(target, spec.name, next(values) + 0.5)
+            elif isinstance(current, int):
+                setattr(target, spec.name, next(values))
+
+    fill(counters)
+    return counters
+
+
+def doubled(snapshot, name: str = ""):
+    """What absorbing ``snapshot`` twice into an empty object yields."""
+    if isinstance(snapshot, dict):
+        return {key: doubled(value, key) for key, value in snapshot.items()}
+    if isinstance(snapshot, list):
+        return [2 * value for value in snapshot]
+    if isinstance(snapshot, tuple) or name in MAX_MERGED:
+        return snapshot
+    return 2 * snapshot
+

@@ -158,6 +158,7 @@ class TestShardedPortfolio:
         total = sum(snapshot.service.session.requests for snapshot in snapshots)
         assert f"repro_service_requests_total {total}" in lines
         assert f"repro_front_submissions_total {len(portfolio)}" in lines
+        assert "# TYPE repro_optimizer_policy_evaluations_total counter" in lines
         for index in range(NUM_SHARDS):
             assert f'repro_shard_alive{{shard="{index}"}} 1' in lines
             assert any(

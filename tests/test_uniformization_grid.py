@@ -12,16 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import SessionStats
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
 from repro.ctmc.foxglynn import fox_glynn
 from repro.ctmc.rewards import cumulative_reward_curve, instantaneous_reward_curve
 from repro.ctmc.transient import time_bounded_reachability, transient_distributions
-from repro.ctmc.uniformization import (
-    UniformizationStats,
-    evaluate_grid,
-    evaluate_grid_block,
-)
+from repro.ctmc.uniformization import evaluate_grid, evaluate_grid_block
 
 EPSILON = 1e-10
 
@@ -153,7 +150,7 @@ class TestRewardGrids:
 class TestEngineBehaviour:
     def test_single_sweep_matvec_count(self, chain):
         """The grid shares one sweep: matvecs == largest right truncation point."""
-        stats = UniformizationStats()
+        stats = SessionStats()
         _, q = chain.uniformized_matrix()
         evaluate_grid(chain, GRID, epsilon=EPSILON, stats=stats)
         expected = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
@@ -234,7 +231,7 @@ class TestInitialBlockBatching:
 
     def test_block_shares_the_operator_traversal(self, chain):
         block = self._initial_block(chain, rows=4)
-        stats = UniformizationStats()
+        stats = SessionStats()
         evaluate_grid(chain, GRID, initial_distribution=block, epsilon=EPSILON, stats=stats)
         _, q = chain.uniformized_matrix()
         expected_applies = max(fox_glynn(q * t, EPSILON).right for t in GRID if t > 0.0)
