@@ -1,7 +1,7 @@
-"""Perf benchmark — complete lumping coverage (interval-until + long-run).
+"""Perf benchmark — lumping coverage of interval-until bundles.
 
-PR 2 lumped the regular bounded-reachability sweeps (Fig. 4/5); this gate
-covers the two measure families that stayed on full chains until PR 10:
+Lumped bounded-reachability sweeps (Fig. 4/5) are gated in
+``bench_perf_batched_sweep``; this gate covers the interval-until family:
 
 * **Interval-until bundles (Fig. 8/9 family)** — the Line 2 survivability
   thresholds with a strictly positive lower bound ``a``, one bundle per
@@ -13,15 +13,13 @@ covers the two measure families that stayed on full chains until PR 10:
   unlumped bundle, and a warm repeat with **zero quotient-kind cache
   misses**.
 
-* **Table 2 long-run portfolio** — the steady-state availability of every
-  (line, strategy) pair.  Lumped, the BSCC decomposition and the stationary
-  solves run on quotients seeded with the availability indicator, so the
-  factorized systems shrink.  Gates: quotient state counts strictly below
-  the full chains, <= 1e-12 agreement with the unlumped portfolio, and a
-  warm repeat with zero quotient/factorization/BSCC/stationary misses.
+Long-run measures (Table 2) are not lumped: their stationary solve costs
+less on the full chain than the partition refinement does.  Their warm
+cache behaviour is gated by the tier-1 test
+``test_repeat_portfolio_incurs_zero_longrun_cache_misses``.
 
-Both sessions run at ``epsilon=1e-14`` so Poisson-truncation noise sits
-well below the 1e-12 agreement gates (the lumped backward phase keys its
+The sessions run at ``epsilon=1e-14`` so Poisson-truncation noise sits
+well below the 1e-12 agreement gate (the lumped backward phase keys its
 Fox-Glynn windows on the quotient's own, smaller uniformization rate, so
 the two lanes genuinely use different windows).
 
@@ -42,8 +40,7 @@ from bench_support import run_once
 
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
 from repro.casestudy.experiments import line_service_interval_lower, line_state_space
-from repro.casestudy.facility import DISASTER_2, LINE1, LINE2, PAPER_STRATEGIES
-from repro.measures import steady_state_availability_request
+from repro.casestudy.facility import DISASTER_2, LINE2, PAPER_STRATEGIES
 from repro.service import ArtifactCache
 
 FAST = bool(os.environ.get("REPRO_BENCH_FAST"))
@@ -158,76 +155,3 @@ def test_interval_bundles_run_on_quotients(benchmark):
     for warm, cold in zip(warm_values, cold_values):
         np.testing.assert_array_equal(warm, cold)
 
-
-def _table2_requests() -> list[MeasureRequest]:
-    return [
-        steady_state_availability_request(
-            line_state_space(line, configuration),
-            tag=(line, configuration.label),
-        )
-        for line in (LINE1, LINE2)
-        for configuration in STRATEGIES
-    ]
-
-
-def _run_table2(lump: bool, cache: ArtifactCache | None):
-    stats = SessionStats()
-    session = AnalysisSession(lump=lump, artifacts=cache, stats=stats)
-    indices = [session.add(request) for request in _table2_requests()]
-    results = session.execute()
-    values = [float(results[index].squeezed[0]) for index in indices]
-    blocks = [results[index].lumped_states for index in indices]
-    return values, blocks, stats
-
-
-def test_table2_longrun_runs_on_quotients(benchmark):
-    """Table 2 portfolio: factorized systems shrink to quotient size."""
-    unlumped_values, _, _ = _run_table2(False, None)
-
-    cache = ArtifactCache()
-    cold_values, cold_blocks, cold_stats = _run_table2(True, cache)
-    warm_snapshot = cache.stats()
-    (warm_values, _, _) = run_once(benchmark, lambda: _run_table2(True, cache))
-    deltas = cache.stats().misses_since(warm_snapshot)
-
-    deviation = max(
-        abs(lumped - unlumped)
-        for lumped, unlumped in zip(cold_values, unlumped_values)
-    )
-    full_states = [request.chain.num_states for request in _table2_requests()]
-    print()
-    print(
-        f"Table 2 long-run portfolio ({len(cold_values)} availabilities): "
-        f"quotient blocks {cold_blocks} vs full states {full_states}, "
-        f"lumped {cold_stats.lumped_states_before} -> "
-        f"{cold_stats.lumped_states_after} states across "
-        f"{cold_stats.lumped_groups} groups, max deviation {deviation:.2e}, "
-        f"warm miss deltas {deltas}"
-    )
-    _record(
-        "table2_longrun",
-        {
-            "availabilities": len(cold_values),
-            "full_states": full_states,
-            "quotient_blocks": cold_blocks,
-            "states_before": cold_stats.lumped_states_before,
-            "states_after": cold_stats.lumped_states_after,
-            "max_deviation": deviation,
-            "warm_quotient_misses": deltas.get("quotient", 0),
-            "warm_factorization_misses": deltas.get("factorization", 0),
-        },
-    )
-    # Gate (a): every availability solved on a strictly smaller quotient.
-    assert all(
-        blocks is not None and blocks < states
-        for blocks, states in zip(cold_blocks, full_states)
-    )
-    assert cold_stats.lumped_states_after < cold_stats.lumped_states_before
-    # Gate (b): lumped values agree with the unlumped portfolio.
-    assert deviation <= 1e-12
-    # Gate (c): the warm repeat recomputes no quotients or long-run systems.
-    assert deltas.get("quotient", 0) == 0
-    assert deltas.get("factorization", 0) == 0
-    assert deltas.get("bscc", 0) == 0
-    assert deltas.get("stationary", 0) == 0
-    assert warm_values == cold_values

@@ -36,10 +36,8 @@ fetched from the artifact cache when one is attached.
 When the planner attached a quotient (:class:`~repro.analysis.planner.LumpedChain`),
 the sweep runs on the quotient chain: initial distributions are projected
 blockwise and the observable vectors are restricted to one value per block
-(they are block-constant by construction of the lumping partition).  This
-covers long-run groups too — their BSCC decomposition and restricted
-solves run on the quotient, whose factorizations persist in the cache
-under the quotient chain's own fingerprint.  Interval bundles use **two**
+(they are block-constant by construction of the lumping partition).
+Long-run groups always solve on the full chain.  Interval bundles use **two**
 quotients: the planner's backward quotient of the target-absorbed chain
 (values are lifted back to full states between the phases) and a
 forward-phase quotient of the safe-restricted chain that the executor
@@ -186,11 +184,6 @@ def execution_units(plan: ExecutionPlan) -> list[ExecutionUnit]:
             continue
         if not group.interval:
             units.append(ExecutionUnit(groups=[(group_index, group)]))
-            continue
-        if not plan.batched:
-            # Comparison mode: the unbatched baseline must sweep every
-            # request independently, so interval groups stay unbundled too.
-            units.append(ExecutionUnit(groups=[(group_index, group)], interval=True))
             continue
         first = group.members[0]
         signature = (
@@ -343,14 +336,6 @@ def _execute_longrun_group(
     factorization — fetched from the artifact cache when one is attached —
     with every member's observable batched as a right-hand-side column and
     every member's initial distributions reduced by plain dense algebra.
-
-    When the planner attached a quotient, everything — the BSCC
-    decomposition, the stationary vectors, the restricted solves and their
-    factorizations — runs on the quotient chain (whose own fingerprint
-    keys those artifacts in the cache): ordinary lumpability preserves
-    steady-state observables, unbounded reachability values and
-    reachability rewards, since the seeded partition keeps every member's
-    target/safe indicator and reward vector block-constant.
     """
     # A forced (non-"auto") group mode cannot reuse the shared auto-mode
     # solver: its factorization backend — and therefore its cache tokens —
@@ -360,16 +345,6 @@ def _execute_longrun_group(
     else:
         engine = SolverEngine(artifacts=artifacts, stats=stats, mode=group.engine)
     chain = group.chain
-    lumped = group.lumped
-    if lumped is not None:
-        chain = lumped.quotient
-
-    def statewise(vector: np.ndarray) -> np.ndarray:
-        return lumped.project_statewise(vector) if lumped is not None else vector
-
-    def distributions_of(block: np.ndarray) -> np.ndarray:
-        return lumped.project_distributions(block) if lumped is not None else block
-
     kind = group.members[0].kind
 
     if kind is MeasureKind.STEADY_STATE:
@@ -379,11 +354,11 @@ def _execute_longrun_group(
             for member in group.members
         ]
         distributions = steady_state_distribution_block(
-            chain, distributions_of(initial_pool.stack()), engine=engine
+            chain, initial_pool.stack(), engine=engine
         )
         member_values = [
             distributions[rows]
-            @ statewise(
+            @ (
                 member.target_mask.astype(float)
                 if member.target_mask is not None
                 else member.rewards
@@ -393,13 +368,10 @@ def _execute_longrun_group(
     elif kind is MeasureKind.UNBOUNDED_REACHABILITY:
         first = group.members[0]
         per_state = unbounded_reachability(
-            chain,
-            statewise(first.target_mask),
-            statewise(first.safe_mask),
-            engine=engine,
+            chain, first.target_mask, first.safe_mask, engine=engine
         )
         member_values = [
-            np.clip(distributions_of(member.initials) @ per_state, 0.0, 1.0)
+            np.clip(member.initials @ per_state, 0.0, 1.0)
             for member in group.members
         ]
     else:  # REACHABILITY_REWARD
@@ -407,25 +379,21 @@ def _execute_longrun_group(
         member_columns = [reward_pool.add(member.rewards) for member in group.members]
         values_matrix = reachability_reward_values(
             chain,
-            statewise(group.members[0].target_mask),
-            statewise(reward_pool.stack().T),
+            group.members[0].target_mask,
+            reward_pool.stack().T,
             engine=engine,
         )
         member_values = [
-            expected_values_under(
-                distributions_of(member.initials), values_matrix[:, [column]]
-            )[:, 0]
+            expected_values_under(member.initials, values_matrix[:, [column]])[:, 0]
             for member, column in zip(group.members, member_columns)
         ]
 
-    lumped_states = lumped.num_blocks if lumped is not None else None
     for member, values in zip(group.members, member_values):
         results[member.index] = MeasureResult(
             request=member.request,
             times=member.times.copy(),
             values=np.asarray(values, dtype=float).reshape(-1, 1),
             group_index=group_index,
-            lumped_states=lumped_states,
             _squeeze=member.squeeze,
         )
 

@@ -21,26 +21,23 @@ right-hand-side columns against one cached LU factorization
 (:mod:`repro.ctmc.linsolve`).
 
 The planner can additionally run ordinary lumpability
-(:mod:`repro.ctmc.lumping`) on each group's operating chain before the
-sweep (``lump=True``).  The lumping partition is seeded with exactly the
-vectors the group's requests observe — target indicator vectors and reward
-vectors — so every observable is block-constant and the quotient preserves
-all requested measures; the (typically much smaller) quotient chain then
-shrinks every product of the sweep.  Lumping now covers every group kind
-except full-distribution requests:
+(:mod:`repro.ctmc.lumping`) on each sweep group's operating chain before
+the sweep (``lump=True``).  The lumping partition is seeded with exactly
+the vectors the group's requests observe — target indicator vectors and
+reward vectors — so every observable is block-constant and the quotient
+preserves all requested measures; the (typically much smaller) quotient
+chain then shrinks every product of the sweep:
 
-* regular sweep groups quotient their operating chain (as before);
-* long-run groups quotient the base chain seeded with their target/safe
-  indicators and reward vectors — ordinary lumpability preserves
-  steady-state observables, unbounded reachability values and reachability
-  rewards, so the BSCC decomposition and the restricted solves all run on
-  the quotient (``S=?``-per-state and other full-distribution requests
-  stay unlumped);
+* regular sweep groups quotient their operating chain;
 * interval-until groups quotient the *target-absorbed* chain for the
   backward value sweep here (seeded with the target indicator); the
   executor builds a second quotient of the safe-restricted chain for the
   forward phase, seeded with the quantized phase-2 value vectors (see
   :func:`repro.analysis.executor._execute_interval_bundle`).
+
+Long-run groups are never lumped: their one ILU-GMRES stationary solve per
+BSCC costs less on the full chain than the partition refinement does, so
+``S=?``, ``P=?[U]`` and ``R=?[F]`` results carry no quotient size.
 
 Groups containing ``TRANSIENT`` requests are never lumped (their full
 distributions live on the original state space).  A quotient build that
@@ -62,11 +59,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.ctmc.ctmc import CTMC, CTMCError
-from repro.ctmc.engines import (
-    EngineSelector,
-    default_engine_mode as process_default_engine_mode,
-    normalise_engine_mode,
-)
+from repro.ctmc.engines import EngineSelector, normalise_engine_mode
 from repro.ctmc.lumping import lump_ctmc, lumping_partition
 from repro.ctmc.uniformization import DEFAULT_EPSILON
 from repro.analysis.requests import (
@@ -157,16 +150,12 @@ class ExecutionGroup:
 class ExecutionPlan:
     """The grouping the session will execute.
 
-    ``batched`` records the planning mode: with ``False`` (the comparison
-    mode) the executor must also refrain from bundling interval groups, so
-    the per-request baseline really runs every sweep independently.
     ``lump_failures`` counts groups whose quotient build crashed and was
     degraded to the full chain (see :func:`build_plan`).
     """
 
     groups: list[ExecutionGroup]
     num_requests: int
-    batched: bool = True
     lump_failures: int = 0
 
     @property
@@ -277,16 +266,11 @@ def build_plan(
     requests: Sequence[MeasureRequest],
     *,
     lump: bool = False,
-    batched: bool = True,
     default_epsilon: float = DEFAULT_EPSILON,
     artifacts: Any | None = None,
     default_engine: str | None = None,
 ) -> ExecutionPlan:
     """Group ``requests`` into execution groups (see module docstring).
-
-    With ``batched=False`` every request is placed in its own group — the
-    per-curve behaviour of the pre-session API, kept for comparison runs
-    and the CLI's ``--no-batched`` flag.
 
     ``artifacts`` is an optional :class:`repro.service.ArtifactCache` (any
     object with its ``transformed_chain``/``quotient`` methods works): when
@@ -295,18 +279,14 @@ def build_plan(
     plan, so repeated portfolio sweeps reuse them across sessions.
 
     ``default_engine`` fills in for requests that leave their own knob at
-    ``None``; ``None`` here falls through to the process-wide default
-    (:func:`repro.ctmc.engines.default_engine_mode`, which the CLI's
-    ``--engine`` flag sets).  The engine mode takes part in the group keys
-    — requests on different backends never share a sweep — and ``"auto"`` is
-    resolved to a concrete backend per sweep group before the plan is
-    returned, consulting the selector against the chain the executor will
-    actually sweep (the lumping quotient when one exists).
+    ``None``; ``None`` here means ``"auto"``.  The engine mode takes part in
+    the group keys — requests on different backends never share a sweep —
+    and ``"auto"`` is resolved to a concrete backend per sweep group before
+    the plan is returned, consulting the selector against the chain the
+    executor will actually sweep (the lumping quotient when one exists).
     """
-    plan_engine = (
-        process_default_engine_mode()
-        if default_engine is None
-        else normalise_engine_mode(default_engine)
+    plan_engine = normalise_engine_mode(
+        "auto" if default_engine is None else default_engine
     )
     groups: dict[tuple, ExecutionGroup] = {}
     transformed_cache: dict[tuple[int, bytes], CTMC] = {}
@@ -342,8 +322,6 @@ def build_plan(
             else:  # REACHABILITY_REWARD
                 longrun_token = b"reach-reward" + planned.target_mask.tobytes()
             key = (id(base), longrun_token, planned.kind.value, engine_mode)
-            if not batched:
-                key = key + (index,)
             group = groups.get(key)
             if group is None:
                 group = ExecutionGroup(
@@ -395,8 +373,6 @@ def build_plan(
             float(epsilon),
             engine_mode,
         )
-        if not batched:
-            key = key + (index,)
 
         group = groups.get(key)
         if group is None:
@@ -411,11 +387,11 @@ def build_plan(
             groups[key] = group
         group.members.append(planned)
 
-    plan = ExecutionPlan(
-        groups=list(groups.values()), num_requests=len(requests), batched=batched
-    )
+    plan = ExecutionPlan(groups=list(groups.values()), num_requests=len(requests))
     if lump:
         for group in plan.groups:
+            if group.longrun:
+                continue  # long-run groups solve on the full chain
             # Lumping is an optimisation: a failing refinement/quotient
             # build must never poison the plan (the scenario service
             # coalesces many clients into one), so the group degrades to
@@ -533,13 +509,12 @@ def cached_quotient(
 
 
 def _lump_group(group: ExecutionGroup, artifacts: Any | None = None) -> LumpedChain | None:
-    """Build the quotient of a group's operating chain, if worthwhile.
+    """Build the quotient of a sweep group's operating chain, if worthwhile.
 
     The initial partition is seeded with one state-class per distinct value
     of every observable vector of the group (target indicators and reward
-    vectors; long-run groups additionally seed their safe-set indicators,
-    which regular reachability groups bake into the absorbing transform
-    instead), so the refined partition keeps all of them block-constant.
+    vectors; reachability groups bake their safe sets into the absorbing
+    transform), so the refined partition keeps all of them block-constant.
     Initial distributions need no seeding: ordinary lumpability holds for
     arbitrary initial distributions, which simply project blockwise.
 
@@ -565,11 +540,6 @@ def _lump_group(group: ExecutionGroup, artifacts: Any | None = None) -> LumpedCh
             return None  # full distributions live on the original states
         if member.target_mask is not None:
             observables.append(member.target_mask.astype(float))
-        if group.longrun and member.safe_mask is not None:
-            # For long-run reachability the chain is *not* pre-absorbed, so
-            # the safe set must stay block-constant for prob0/prob1 and the
-            # restricted system to commute with the quotient.
-            observables.append(member.safe_mask.astype(float))
         if member.rewards is not None:
             observables.append(member.rewards)
 

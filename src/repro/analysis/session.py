@@ -48,19 +48,16 @@ class AnalysisSession:
     Parameters
     ----------
     lump:
-        Run ordinary lumpability on each group's operating chain before
-        sweeping or solving (the quotient preserves every requested
-        measure; see :func:`repro.analysis.planner._lump_group`).  Covers
-        regular bounded reachability, interval-until bundles (separate
-        backward/forward quotients) and long-run groups; per-state
-        distribution requests stay unlumped.  A failed quotient build
+        Run ordinary lumpability on each sweep group's operating chain
+        before sweeping (the quotient preserves every requested measure;
+        see :func:`repro.analysis.planner._lump_group`).  Covers regular
+        bounded reachability and reward curves and interval-until bundles
+        (separate backward/forward quotients); long-run groups and
+        per-state distribution requests stay unlumped.  A failed quotient build
         degrades the group to its full chain: the *first* failure warns and
         increments ``SessionStats.lump_failures``, while warm repeats hit
         the cached tombstone and skip the refinement silently — the failure
         is counted once per cold build, not once per plan.
-    batched:
-        With ``False``, every request is planned into its own group — the
-        per-curve behaviour of the legacy API, kept for comparison runs.
     epsilon:
         Default Poisson-truncation error for requests that do not set one.
     stats:
@@ -74,22 +71,19 @@ class AnalysisSession:
         here; standalone sessions default to no cross-session caching.
     engine:
         Default numeric backend for requests that do not set one — one of
-        :data:`repro.ctmc.engines.ENGINE_MODES`.  ``None`` falls back to
-        the process-wide default (``"auto"`` unless the CLI overrode it).
+        :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` means ``"auto"``).
     """
 
     def __init__(
         self,
         *,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         stats: SessionStats | None = None,
         artifacts=None,
         engine: str | None = None,
     ) -> None:
         self.lump = lump
-        self.batched = batched
         self.default_epsilon = float(epsilon)
         self.stats = stats if stats is not None else SessionStats()
         self.artifacts = artifacts
@@ -123,7 +117,6 @@ class AnalysisSession:
         return build_plan(
             self._requests,
             lump=self.lump,
-            batched=self.batched,
             default_epsilon=self.default_epsilon,
             artifacts=self.artifacts,
             default_engine=self.engine,

@@ -9,11 +9,12 @@ strategy, disaster and service level of the figure pair — as one
 :class:`repro.analysis.AnalysisSession`, so compatible curves share
 uniformization sweeps (one per distinct (chain, rate, grid) group) instead
 of re-traversing the chain per curve.  The keyword-only ``lump``,
-``batched`` and ``stats`` parameters thread the session configuration
-through from the CLI: ``lump=True`` solves each group on its ordinary-
-lumpability quotient, ``batched=False`` restores the legacy one-sweep-per-
-curve planning, and a shared :class:`repro.analysis.SessionStats` collects
-work counters across experiments.
+``engine`` and ``stats`` parameters thread the session configuration
+through from the CLI: ``lump=True`` sweeps each group on its ordinary-
+lumpability quotient, ``engine`` picks the numeric backend (one of
+:data:`repro.ctmc.engines.ENGINE_MODES`; ``None`` means ``"auto"``), and a
+shared :class:`repro.analysis.SessionStats` collects work counters across
+experiments.
 
 State spaces are expensive to rebuild, so :func:`line_state_space` caches
 them per (line, strategy, crews) combination for the lifetime of the
@@ -174,6 +175,7 @@ def table1_state_space(
 def table2_availability(
     configurations: tuple[StrategyConfiguration, ...] = PAPER_STRATEGIES,
     *,
+    engine: str | None = None,
     stats: SessionStats | None = None,
     artifacts=None,
 ) -> TableResult:
@@ -185,7 +187,7 @@ def table2_availability(
     ``artifacts`` (the scenario service's cache) a repeat table performs
     zero new BSCC decompositions and factorizations.
     """
-    session = AnalysisSession(stats=stats, artifacts=artifacts)
+    session = AnalysisSession(stats=stats, artifacts=artifacts, engine=engine)
     indices: dict[tuple[str, str], int] = {}
     for configuration in configurations:
         for line in (LINE1, LINE2):
@@ -227,7 +229,7 @@ def figure3_reliability(
     points: int = 101,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> CurveResult:
     """Reliability of both lines over ``[0, horizon]`` hours (no repairs).
@@ -237,7 +239,7 @@ def figure3_reliability(
     """
     configuration = StrategyConfiguration(RepairStrategy.DEDICATED, 1)
     times = np.linspace(0.0, horizon, points)
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
+    session = AnalysisSession(lump=lump, engine=engine, stats=stats)
     indices = {
         label: session.add(
             unreliability_request(
@@ -301,7 +303,7 @@ def _survivability_figures(
     points: int,
     titles: tuple[str, ...],
     lump: bool,
-    batched: bool,
+    engine: str | None,
     stats: SessionStats | None,
 ) -> tuple[CurveResult, ...]:
     """Build a figure pair's full curve family and run it as one session.
@@ -311,7 +313,7 @@ def _survivability_figures(
     e.g. several disasters of one strategy — into shared sweeps.
     """
     times = np.linspace(0.0, horizon, points)
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
+    session = AnalysisSession(lump=lump, engine=engine, stats=stats)
     indices: dict[tuple[int, str], int] = {}
     for interval_index in interval_indices:
         threshold = _line_service_interval_lower(line, interval_index)
@@ -343,7 +345,7 @@ def figure4_5_survivability_line1(
     points: int = 91,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> tuple[CurveResult, CurveResult]:
     """Figures 4 and 5: recovery of Line 1 to X1 and X2 after Disaster 1."""
@@ -353,7 +355,7 @@ def figure4_5_survivability_line1(
             "Figure 4: survivability Line 1, Disaster 1, service interval X1",
             "Figure 5: survivability Line 1, Disaster 1, service interval X2",
         ),
-        lump, batched, stats,
+        lump, engine, stats,
     )
 
 
@@ -369,7 +371,7 @@ def _cost_figures(
     points: int,
     titles: tuple[str, str],
     lump: bool,
-    batched: bool,
+    engine: str | None,
     stats: SessionStats | None,
 ) -> tuple[CurveResult, CurveResult]:
     """Both cost curves of every strategy, submitted as one session.
@@ -380,7 +382,7 @@ def _cost_figures(
     """
     instantaneous_times = np.linspace(0.0, instantaneous_horizon, points)
     accumulated_times = np.linspace(0.0, accumulated_horizon, max(2, points // 2))
-    session = AnalysisSession(lump=lump, batched=batched, stats=stats)
+    session = AnalysisSession(lump=lump, engine=engine, stats=stats)
     instantaneous_indices: dict[str, int] = {}
     accumulated_indices: dict[str, int] = {}
     for configuration in configurations:
@@ -425,7 +427,7 @@ def figure6_7_costs_line1(
     points: int = 46,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> tuple[CurveResult, CurveResult]:
     """Figures 6 and 7: instantaneous and accumulated cost, Line 1, Disaster 1."""
@@ -440,7 +442,7 @@ def figure6_7_costs_line1(
             "Figure 6: instantaneous cost Line 1, Disaster 1",
             "Figure 7: accumulated cost Line 1, Disaster 1",
         ),
-        lump, batched, stats,
+        lump, engine, stats,
     )
 
 
@@ -452,7 +454,7 @@ def figure8_9_survivability_line2(
     points: int = 101,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> tuple[CurveResult, CurveResult]:
     """Figures 8 and 9: recovery of Line 2 to X1 and X3 after Disaster 2."""
@@ -462,7 +464,7 @@ def figure8_9_survivability_line2(
             "Figure 8: survivability Line 2, Disaster 2, service interval X1",
             "Figure 9: survivability Line 2, Disaster 2, service interval X3",
         ),
-        lump, batched, stats,
+        lump, engine, stats,
     )
 
 
@@ -486,7 +488,7 @@ def figure10_11_costs_line2(
     points: int = 51,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> tuple[CurveResult, CurveResult]:
     """Figures 10 and 11: instantaneous and accumulated cost, Line 2, Disaster 2."""
@@ -501,7 +503,7 @@ def figure10_11_costs_line2(
             "Figure 10: instantaneous cost Line 2, Disaster 2",
             "Figure 11: accumulated cost Line 2, Disaster 2",
         ),
-        lump, batched, stats,
+        lump, engine, stats,
     )
 
 
@@ -525,20 +527,21 @@ def run_all_experiments(
     fast: bool = False,
     *,
     lump: bool = False,
-    batched: bool = True,
+    engine: str | None = None,
     stats: SessionStats | None = None,
 ) -> ExperimentSuiteResult:
     """Run every table and figure of the paper and return the results.
 
     With ``fast=True`` the time grids are coarser (used by smoke tests).
-    ``lump``/``batched`` configure the figure families' analysis sessions
-    and ``stats`` collects their work counters across the whole suite.
+    ``lump`` configures the figure families' analysis sessions, ``engine``
+    every session's numeric backend, and ``stats`` collects their work
+    counters across the whole suite.
     """
     points = 21 if fast else 101
-    session_options = dict(lump=lump, batched=batched, stats=stats)
+    session_options = dict(lump=lump, engine=engine, stats=stats)
     result = ExperimentSuiteResult()
     result.tables["table1"] = table1_state_space()
-    result.tables["table2"] = table2_availability(stats=stats)
+    result.tables["table2"] = table2_availability(engine=engine, stats=stats)
     result.figures["figure3"] = figure3_reliability(points=points, **session_options)
     figure4, figure5 = figure4_5_survivability_line1(
         points=max(points, 10), **session_options

@@ -33,9 +33,9 @@ Paired figures (fig4/fig5, fig6/fig7, fig8/fig9, fig10/fig11) come from one
 *family* computation: requesting both members in a single invocation runs
 the family — and its batched analysis session — exactly once.  The session
 work counters (groups, sweeps, matvecs, lumping compression) are printed at
-the end of every run that computed figures; ``--no-batched`` plans one
-sweep per curve (the legacy behaviour) for comparison, and ``--lump``
-solves every group on its ordinary-lumpability quotient.
+the end of every run that computed figures; ``--lump`` sweeps every group
+on its ordinary-lumpability quotient, and ``--engine`` picks the numeric
+backend of every session the run builds.
 
 ``serve`` sweeps whole scenario portfolios through the asyncio scenario
 service (:mod:`repro.service`): ``--clients N`` concurrent clients each
@@ -57,27 +57,27 @@ from repro.analysis import SessionStats
 from repro.casestudy import experiments as exp
 from repro.ctmc import engines
 
-#: Family name -> callable(points, lump, batched, stats) returning the
+#: Family name -> callable(points, lump, engine, stats) returning the
 #: family's result tuple.  Each family runs at most once per invocation.
 _FAMILIES = {
-    "table1": lambda points, lump, batched, stats: (exp.table1_state_space(),),
-    "table2": lambda points, lump, batched, stats: (
-        exp.table2_availability(stats=stats),
+    "table1": lambda points, lump, engine, stats: (exp.table1_state_space(),),
+    "table2": lambda points, lump, engine, stats: (
+        exp.table2_availability(engine=engine, stats=stats),
     ),
-    "fig3": lambda points, lump, batched, stats: (
-        exp.figure3_reliability(points=points, lump=lump, batched=batched, stats=stats),
+    "fig3": lambda points, lump, engine, stats: (
+        exp.figure3_reliability(points=points, lump=lump, engine=engine, stats=stats),
     ),
-    "fig45": lambda points, lump, batched, stats: exp.figure4_5_survivability_line1(
-        points=points, lump=lump, batched=batched, stats=stats
+    "fig45": lambda points, lump, engine, stats: exp.figure4_5_survivability_line1(
+        points=points, lump=lump, engine=engine, stats=stats
     ),
-    "fig67": lambda points, lump, batched, stats: exp.figure6_7_costs_line1(
-        points=points, lump=lump, batched=batched, stats=stats
+    "fig67": lambda points, lump, engine, stats: exp.figure6_7_costs_line1(
+        points=points, lump=lump, engine=engine, stats=stats
     ),
-    "fig89": lambda points, lump, batched, stats: exp.figure8_9_survivability_line2(
-        points=points, lump=lump, batched=batched, stats=stats
+    "fig89": lambda points, lump, engine, stats: exp.figure8_9_survivability_line2(
+        points=points, lump=lump, engine=engine, stats=stats
     ),
-    "fig1011": lambda points, lump, batched, stats: exp.figure10_11_costs_line2(
-        points=points, lump=lump, batched=batched, stats=stats
+    "fig1011": lambda points, lump, engine, stats: exp.figure10_11_costs_line2(
+        points=points, lump=lump, engine=engine, stats=stats
     ),
 }
 
@@ -123,20 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="use coarse time grids (quick smoke run)",
     )
     parser.add_argument(
-        "--batched",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "plan each figure family as one analysis session with shared sweeps "
-            "(--no-batched restores one sweep per curve)"
-        ),
-    )
-    parser.add_argument(
         "--lump",
         action=argparse.BooleanOptionalAction,
         default=False,
         help=(
-            "run ordinary-lumpability reduction on every analysis group before "
+            "run ordinary-lumpability reduction on every sweep group before "
             "sweeping (quotient chains preserve all requested measures)"
         ),
     )
@@ -248,8 +239,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help=(
-            "print the GET /metrics text (service, cache and optimizer "
-            "counters, flush-latency histogram) after the sweep"
+            "print the GET /metrics text (service and cache counters, "
+            "flush-latency histogram) after the sweep"
         ),
     )
     parser.add_argument(
@@ -540,23 +531,15 @@ def main(argv: list[str] | None = None) -> int:
     points = args.points if args.points is not None else (21 if args.fast else 101)
     names = list(_EXPERIMENTS) if "all" in args.experiments else list(dict.fromkeys(args.experiments))
     stats = SessionStats()
-    # The experiment runners build their own sessions deep inside the case
-    # study; the engine choice travels via the process-wide default every
-    # build_plan falls back to, and is restored when the run ends.
-    previous_engine = engines.default_engine_mode()
-    engines.set_default_engine_mode(args.engine)
-    try:
-        family_results: dict[str, tuple] = {}
-        for name in names:
-            family, index = _EXPERIMENTS[name]
-            if family not in family_results:
-                family_results[family] = _FAMILIES[family](
-                    points, args.lump, args.batched, stats
-                )
-            print(_render(name, family_results[family][index], args))
-            print()
-    finally:
-        engines.set_default_engine_mode(previous_engine)
+    family_results: dict[str, tuple] = {}
+    for name in names:
+        family, index = _EXPERIMENTS[name]
+        if family not in family_results:
+            family_results[family] = _FAMILIES[family](
+                points, args.lump, args.engine, stats
+            )
+        print(_render(name, family_results[family][index], args))
+        print()
     if stats.requests:
         print(f"[{stats.summary()}]")
     return 0

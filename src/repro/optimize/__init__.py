@@ -10,9 +10,8 @@ solves, and :func:`rollout_optimize` improves finite-horizon objectives
 (survivability at ``t``, accumulated cost) with all candidate one-step
 deviations of a round scored off one coalesced identity-block sweep.
 
-Entry points: ``python -m repro optimize`` (CLI), the registry's
-``optimized_*`` scenario family (``paper_registry(include_optimized=True)``)
-and :func:`global_optimizer_stats` feeding the service ``/metrics`` dump.
+Entry points: ``python -m repro optimize`` (CLI) and the functions below;
+the optimizer is a library, not a served scenario family.
 """
 
 from repro.optimize.ctmdp import (
@@ -35,7 +34,7 @@ from repro.optimize.rollout import (
     default_candidates,
     rollout_optimize,
 )
-from repro.optimize.stats import OptimizerStats, global_optimizer_stats
+from repro.optimize.stats import OptimizerStats
 
 __all__ = [
     "LONGRUN_OBJECTIVES",
@@ -51,7 +50,6 @@ __all__ = [
     "RolloutResult",
     "default_candidates",
     "evaluate_policy",
-    "global_optimizer_stats",
     "policy_iteration",
     "rollout_optimize",
 ]

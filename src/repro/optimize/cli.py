@@ -25,7 +25,7 @@ from repro.ctmc.linsolve import SolverEngine
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP
 from repro.optimize.policy_iteration import evaluate_policy, policy_iteration
 from repro.optimize.rollout import default_candidates, rollout_optimize
-from repro.optimize.stats import OptimizerStats, global_optimizer_stats
+from repro.optimize.stats import OptimizerStats
 
 _OBJECTIVES = (
     "survivability",
@@ -100,13 +100,14 @@ def build_optimize_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the process-wide optimizer metrics (Prometheus text) at the end",
+        help="print this run's optimizer metrics (Prometheus text) at the end",
     )
     return parser
 
 
-def _print_longrun(ctmdp: RepairCTMDP, objective: str, max_iterations: int) -> int:
-    stats = OptimizerStats()
+def _print_longrun(
+    ctmdp: RepairCTMDP, objective: str, max_iterations: int, stats: OptimizerStats
+) -> int:
     engine = SolverEngine()
     internal = "unavailability" if objective in ("availability", "unavailability") else "cost_rate"
     candidates = default_candidates(ctmdp)
@@ -159,16 +160,18 @@ def _print_longrun(ctmdp: RepairCTMDP, objective: str, max_iterations: int) -> i
     )
     print(f"[{stats.summary()}]")
     print(f"[{engine.stats.summary()}]")
-    global_optimizer_stats().absorb(stats)
     return 0 if result.converged else 1
 
 
 def _print_rollout(
-    ctmdp: RepairCTMDP, objective: str, args: argparse.Namespace, line: str
+    ctmdp: RepairCTMDP,
+    objective: str,
+    args: argparse.Namespace,
+    line: str,
+    stats: OptimizerStats,
 ) -> int:
     from repro.casestudy.experiments import line_service_interval_lower
 
-    stats = OptimizerStats()
     internal = "survivability" if objective == "survivability" else "accumulated_cost"
     disaster = args.disaster or ctmdp.model.disasters[0].name
     horizon = args.horizon if args.horizon is not None else (4.5 if line == LINE1 else 100.0)
@@ -217,7 +220,6 @@ def _print_rollout(
         f"t={result.times[-1]:g} -> {result.curve[-1]:.6f}"
     )
     print(f"[{stats.summary()}]")
-    global_optimizer_stats().absorb(stats)
     return 0
 
 
@@ -225,6 +227,7 @@ def optimize_main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro optimize``."""
     args = build_optimize_parser().parse_args(argv)
     line = {"1": LINE1, "2": LINE2}.get(args.line, args.line)
+    stats = OptimizerStats()
     try:
         ctmdp = RepairCTMDP(build_line(line), crew_limit=args.crews)
         print(
@@ -233,13 +236,13 @@ def optimize_main(argv: list[str] | None = None) -> int:
             + (f" (crew limit {args.crews})" if args.crews else "")
         )
         if args.objective in ("availability", "unavailability", "cost-rate"):
-            code = _print_longrun(ctmdp, args.objective, args.max_iterations)
+            code = _print_longrun(ctmdp, args.objective, args.max_iterations, stats)
         else:
-            code = _print_rollout(ctmdp, args.objective, args, line)
+            code = _print_rollout(ctmdp, args.objective, args, line, stats)
     except OptimizeError as error:
         print(f"error: {error}")
         return 2
     if args.metrics:
         print()
-        print(prometheus_text([("repro_optimizer", global_optimizer_stats())]), end="")
+        print(prometheus_text([("repro_optimizer", stats)]), end="")
     return code

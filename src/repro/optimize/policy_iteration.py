@@ -35,7 +35,7 @@ from repro.ctmc import CTMC
 from repro.ctmc.linsolve import SolverEngine
 from repro.ctmc.steady_state import bscc_decomposition
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP, RepairPolicy
-from repro.optimize.stats import OptimizerStats, global_optimizer_stats
+from repro.optimize.stats import OptimizerStats
 
 #: Long-run objectives policy iteration can optimize.  ``unavailability``
 #: is the paper's Table 2 measure (1 - steady-state availability);
@@ -102,7 +102,7 @@ def evaluate_policy(
     stats: OptimizerStats | None = None,
 ) -> PolicyEvaluation:
     """Gain and bias of ``policy`` for every objective, one stacked solve."""
-    stats = stats if stats is not None else global_optimizer_stats()
+    stats = stats if stats is not None else OptimizerStats()
     if ctmdp.chain_is_cached(policy):
         stats.cache_hits += 1
     chain = ctmdp.induced_chain(policy)
@@ -158,7 +158,7 @@ def policy_iteration(
         raise OptimizeError(
             f"unknown long-run objective {objective!r}; expected one of {LONGRUN_OBJECTIVES}"
         )
-    stats = stats if stats is not None else global_optimizer_stats()
+    stats = stats if stats is not None else OptimizerStats()
     engine = engine if engine is not None else SolverEngine()
     if initial is None:
         initial = RepairPolicy(

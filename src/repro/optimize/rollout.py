@@ -43,7 +43,7 @@ from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, Session
 from repro.arcade.model import Disaster
 from repro.casestudy.facility import PAPER_STRATEGIES
 from repro.optimize.ctmdp import OptimizeError, RepairCTMDP, RepairPolicy
-from repro.optimize.stats import OptimizerStats, global_optimizer_stats
+from repro.optimize.stats import OptimizerStats
 
 #: Finite-horizon objectives the rollout optimizer handles.
 ROLLOUT_OBJECTIVES = ("survivability", "accumulated_cost")
@@ -141,7 +141,7 @@ def rollout_optimize(
     survivability = objective == "survivability"
     if survivability and threshold is None:
         raise OptimizeError("survivability rollout needs a service-level threshold")
-    stats = stats if stats is not None else global_optimizer_stats()
+    stats = stats if stats is not None else OptimizerStats()
     session_stats = session_stats if session_stats is not None else SessionStats()
     times = np.linspace(0.0, float(horizon), int(points))
     initial_state = ctmdp.disaster_state(disaster)
@@ -172,12 +172,7 @@ def rollout_optimize(
         )
 
     def new_session() -> AnalysisSession:
-        return AnalysisSession(
-            batched=True,
-            artifacts=artifacts,
-            stats=session_stats,
-            engine=engine,
-        )
+        return AnalysisSession(artifacts=artifacts, stats=session_stats, engine=engine)
 
     point = np.zeros(ctmdp.num_states)
     point[initial_state] = 1.0

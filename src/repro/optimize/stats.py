@@ -11,10 +11,9 @@ identity-block request, so ``K`` candidates ride ~1 shared sweep instead of
 ``K``).  The difference is :attr:`OptimizerStats.sweeps_saved` — the number
 the benchmark gates on.
 
-A process-wide aggregate (:func:`global_optimizer_stats`) feeds the
-``/metrics`` dump of both scenario-service fronts, so operators see
-optimizer work next to sweep and cache counters.  It stays process-wide
-because registry expansion runs the optimizer with no stats object in hand.
+Each optimizer run that is not handed a stats object counts into a fresh
+one; ``python -m repro optimize --metrics`` prints its own run's counters
+as ``repro_optimizer_*`` series.
 """
 
 from __future__ import annotations
@@ -67,11 +66,3 @@ class OptimizerStats(Counters):
         """Sweeps avoided by scoring candidates off shared value blocks."""
         return max(0, self.candidate_actions - self.coalesced_sweeps)
 
-
-#: Process-wide aggregate served by the scenario service's ``/metrics``.
-_GLOBAL_STATS = OptimizerStats()
-
-
-def global_optimizer_stats() -> OptimizerStats:
-    """The process-wide :class:`OptimizerStats` aggregate."""
-    return _GLOBAL_STATS

@@ -21,7 +21,7 @@ the heavy-traffic north star:
 * :class:`ChaosPolicy` / :class:`ChaosEvent` — seeded deterministic fault
   injection (kill/wedge/corrupt/delay/drop) wired into the worker side of
   the shard protocol, driving the chaos tests and the
-  ``benchmarks/bench_resilience.py`` gate;
+  ``benchmarks/bench_perf_resilience.py`` gate;
 * :class:`ScenarioHTTPServer` — a minimal asyncio HTTP server
   (``POST /scenario``, ``GET /registry``, ``GET /metrics``) over either
   front (``python -m repro serve --http PORT [--shards N]``);

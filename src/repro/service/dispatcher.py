@@ -137,17 +137,9 @@ def render_metrics(
     """The ``/metrics`` text of a service front.
 
     Service and cache counters (summed over shards for the sharded front),
-    the process-wide optimizer counters, then the sections and pre-rendered
-    lines of the front itself.
+    then the sections and pre-rendered lines of the front itself.
     """
-    from repro.optimize.stats import global_optimizer_stats
-
-    sections = [
-        ("repro_service", service),
-        ("repro_cache", cache),
-        ("repro_optimizer", global_optimizer_stats()),
-        *front,
-    ]
+    sections = [("repro_service", service), ("repro_cache", cache), *front]
     return prometheus_text(sections, extra)
 
 
@@ -207,10 +199,9 @@ class ScenarioService:
         given an explicit one; expiry raises :class:`ScenarioTimeout` and
         cancels only that caller's future (``None`` = no deadline).
     lump:
-        Solve every group on its ordinary-lumpability quotient (quotients
-        are cached process-wide per (chain, observable signature)).
-    batched:
-        ``False`` plans one group per request (comparison runs only).
+        Sweep every transient and interval group on its ordinary-lumpability
+        quotient (quotients are cached per (chain, observable signature));
+        long-run groups always solve on the full chain.
     epsilon:
         Default Poisson-truncation error for requests without one.
     artifacts:
@@ -227,8 +218,8 @@ class ScenarioService:
         paper's figure families (:func:`repro.service.paper_registry`).
     engine:
         Default numeric backend for submissions that do not set one — one
-        of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` = process
-        default, normally ``"auto"``).
+        of :data:`repro.ctmc.engines.ENGINE_MODES` (``None`` means
+        ``"auto"``).
     """
 
     def __init__(
@@ -239,7 +230,6 @@ class ScenarioService:
         max_pending: int | None = None,
         default_timeout: float | None = None,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         artifacts: ArtifactCache | None = None,
         max_workers: int | None = None,
@@ -261,7 +251,6 @@ class ScenarioService:
             None if default_timeout is None else float(default_timeout)
         )
         self.lump = lump
-        self.batched = batched
         self.default_epsilon = float(epsilon)
         self.artifacts = artifacts if artifacts is not None else GLOBAL_ARTIFACTS
         self.registry = registry if registry is not None else paper_registry()
@@ -346,7 +335,7 @@ class ScenarioService:
         return self.artifacts.stats()
 
     def metrics_text(self) -> str:
-        """The Prometheus text dump of service, cache and optimizer counters.
+        """The Prometheus text dump of service and cache counters.
 
         What ``GET /metrics`` of the HTTP front end and ``python -m repro
         serve --metrics`` print for a single-process service.
@@ -543,7 +532,6 @@ class ScenarioService:
             plan = build_plan(
                 [pending.request for pending in survivors],
                 lump=self.lump,
-                batched=self.batched,
                 default_epsilon=self.default_epsilon,
                 artifacts=self.artifacts,
                 default_engine=self.engine,

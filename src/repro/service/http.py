@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
+import math
 from collections import Counter
 from typing import Any
 
@@ -404,10 +405,15 @@ class ScenarioHTTPServer:
         if points is not None and (not isinstance(points, int) or points < 2):
             raise _HTTPError(400, '"points" must be an integer >= 2')
         timeout = payload.get("timeout")
+        # bool is an int, and json.loads accepts NaN/Infinity (NaN would
+        # disable the deadline altogether): all are rejected.
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout <= 0
         ):
-            raise _HTTPError(400, '"timeout" must be a positive number')
+            raise _HTTPError(400, '"timeout" must be a positive finite number')
         # Resolve the name here so only a genuinely unknown scenario maps to
         # 404 — a KeyError escaping execution must stay a 500.
         try:

@@ -54,8 +54,6 @@ MEASURES = (
     "instantaneous_cost",
     "accumulated_cost",
     "availability",
-    "optimized_survivability",
-    "optimized_accumulated_cost",
 )
 
 
@@ -121,12 +119,6 @@ class ScenarioSpec:
         """Concrete measure requests for every curve of the family."""
         grid = self.times(points)
         requests: list[MeasureRequest] = []
-        if self.measure.startswith("optimized_"):
-            # Optimized-vs-fixed curves: the rollout optimizer runs (memoized)
-            # per cell and each policy becomes one ordinary request.
-            from repro.optimize.scenario import expand_optimized
-
-            return expand_optimized(self, grid)
         if self.measure == "availability":
             # Long-run measure: no time grid; the points override is moot.
             for line in self.lines:
@@ -235,16 +227,9 @@ class ScenarioRegistry:
         return len(self._specs)
 
 
-def paper_registry(include_optimized: bool = False) -> ScenarioRegistry:
-    """The paper's figure families as ready-to-expand scenario specs.
-
-    With ``include_optimized=True`` the registry also carries the
-    ``optimized_*`` families, whose expansion runs the rollout policy
-    optimizer (memoized process-wide) and reports the optimized curve next
-    to the paper's fixed strategies.  They stay opt-in because expanding
-    them is orders of magnitude more expensive than the figure families.
-    """
-    registry = ScenarioRegistry(
+def paper_registry() -> ScenarioRegistry:
+    """The paper's Table 2 and figure families as ready-to-expand specs."""
+    return ScenarioRegistry(
         (
             ScenarioSpec(
                 name="table2",
@@ -328,36 +313,3 @@ def paper_registry(include_optimized: bool = False) -> ScenarioRegistry:
             ),
         )
     )
-    if include_optimized:
-        registry.register(
-            ScenarioSpec(
-                name="fig8_9_optimized",
-                measure="optimized_survivability",
-                lines=(LINE2,),
-                strategies=PAPER_STRATEGIES,
-                disasters=(DISASTER_2,),
-                interval_indices=(0,),
-                horizon=24.0,
-                points=25,
-                description=(
-                    "Line 2 recovery to X1 after Disaster 2: rollout-optimized "
-                    "policy vs the paper's fixed strategies"
-                ),
-            )
-        )
-        registry.register(
-            ScenarioSpec(
-                name="fig11_optimized",
-                measure="optimized_accumulated_cost",
-                lines=(LINE2,),
-                strategies=PAPER_STRATEGIES,
-                disasters=(DISASTER_2,),
-                horizon=24.0,
-                points=13,
-                description=(
-                    "Accumulated cost after Disaster 2 on Line 2: rollout-"
-                    "optimized policy vs the paper's fixed strategies"
-                ),
-            )
-        )
-    return registry

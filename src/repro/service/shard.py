@@ -55,8 +55,8 @@ serving layer itself:
 Fault hypotheses are checked, not assumed: a seeded
 :class:`repro.service.chaos.ChaosPolicy` (see :mod:`repro.service.chaos`)
 injects kills, wedges, corrupt/delayed/dropped responses into the worker
-side of the wire protocol, and ``benchmarks/bench_resilience.py`` gates a
-full-portfolio run under a kill-each-shard-once schedule.
+side of the wire protocol, and ``benchmarks/bench_perf_resilience.py``
+gates a full-portfolio run under a kill-each-shard-once schedule.
 
 The wire protocol is deliberately tiny (tuples over two ``multiprocessing``
 queues per shard, variable parts pre-pickled so serialization errors fail
@@ -212,7 +212,6 @@ async def _shard_worker(
         coalesce_window=config["coalesce_window"],
         max_batch=config["max_batch"],
         lump=config["lump"],
-        batched=config["batched"],
         epsilon=config["epsilon"],
         artifacts=ArtifactCache(config["max_entries"]),
         max_workers=config["max_workers"],
@@ -383,12 +382,13 @@ class ShardedServiceStats(Counters):
     heartbeat_misses: dict[int, int] = _per_shard()
 
 
-@dataclass
+@dataclass(eq=False)
 class _Inflight:
     """One tracked submission: the caller's future plus retry bookkeeping.
 
     ``request is None`` marks control-plane probes (stats snapshots): they
     are never retried or failed over, only failed when their shard dies.
+    Entries compare by identity, so they can sit in sets.
     """
 
     future: asyncio.Future
@@ -440,7 +440,7 @@ class ShardedScenarioService:
     num_shards:
         Worker-process count; each runs one :class:`ScenarioService` with a
         private :class:`ArtifactCache`.
-    coalesce_window, max_batch, lump, batched, epsilon, max_workers:
+    coalesce_window, max_batch, lump, epsilon, max_workers:
         Forwarded to every worker's in-process service.
     max_pending:
         Bound on in-flight submissions across the whole front; beyond it
@@ -507,7 +507,6 @@ class ShardedScenarioService:
         max_pending: int | None = None,
         default_timeout: float | None = None,
         lump: bool = False,
-        batched: bool = True,
         epsilon: float = DEFAULT_EPSILON,
         max_workers: int | None = None,
         max_entries: int = DEFAULT_MAX_ENTRIES,
@@ -589,7 +588,6 @@ class ShardedScenarioService:
             "coalesce_window": float(coalesce_window),
             "max_batch": int(max_batch),
             "lump": bool(lump),
-            "batched": bool(batched),
             "epsilon": float(epsilon),
             "max_entries": int(max_entries),
             "max_workers": max_workers,
@@ -599,6 +597,9 @@ class ShardedScenarioService:
         self._start_method = start_method
         self._shards: list[_Shard] = []
         self._parked: list[_Inflight] = []
+        #: Admitted submissions whose request is still being pickled: they
+        #: count against ``max_pending`` before their first await.
+        self._encoding: set[_Inflight] = set()
         self._ids = itertools.count()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -1133,43 +1134,48 @@ class ShardedScenarioService:
             for entry in shard.inflight.values()
             if entry.request is not None
         )
-        return dispatched + len(self._parked)
+        return dispatched + len(self._parked) + len(self._encoding)
 
     def shard_index_for(self, request: MeasureRequest) -> int:
         """The shard that *owns* this request's chain (ignoring failover)."""
         return shard_for_fingerprint(request.chain.fingerprint, self.num_shards)
 
-    async def submit(
-        self, request: MeasureRequest, timeout: float | None = None
-    ) -> MeasureResult:
-        """Route one request to a shard and await the result.
+    def _admit(self, requests: list[MeasureRequest]) -> list[_Inflight]:
+        """Count a whole batch against ``max_pending``, or reject all of it.
 
-        Semantics match :meth:`ScenarioService.submit`: values are
-        bit-comparable to a single-process service (same numerical path,
-        executed in the worker), :class:`QueueFull` applies backpressure at
-        ``max_pending`` in-flight submissions, and a ``timeout`` abandons
-        only this caller's future.  Worker deaths are transparent while
-        the retry budget lasts; :class:`ShardCrashed` is raised fast only
-        when no shard can serve the chain at all (counted in
-        ``stats.routed_dead``).
+        Runs synchronously, before the caller's first await, so concurrent
+        submissions cannot all pass the check before any of them is counted.
         """
         self._ensure_ready()
         if (
             self.max_pending is not None
-            and self._inflight_count() >= self.max_pending
+            and self._inflight_count() + len(requests) > self.max_pending
         ):
             self.stats.rejected += 1
             raise QueueFull(
                 f"sharded service has {self._inflight_count()} requests in flight "
+                f"and {len(requests)} more submitted "
                 f"(max_pending={self.max_pending}); back off and resubmit"
             )
         assert self._loop is not None
-        # Serializing a chain's sparse matrices is O(transitions); keep it
-        # off the event loop, which also serves HTTP traffic.
-        payload = await self._loop.run_in_executor(None, pickle.dumps, request)
-        entry = _Inflight(
-            future=self._loop.create_future(), request=request, payload=payload
-        )
+        entries = [
+            _Inflight(future=self._loop.create_future(), request=request)
+            for request in requests
+        ]
+        self._encoding.update(entries)
+        return entries
+
+    async def _complete(self, entry: _Inflight, timeout: float | None) -> MeasureResult:
+        """Pickle, route and await one admitted submission."""
+        assert self._loop is not None
+        try:
+            # Serializing a chain's sparse matrices is O(transitions); keep
+            # it off the event loop, which also serves HTTP traffic.
+            entry.payload = await self._loop.run_in_executor(
+                None, pickle.dumps, entry.request
+            )
+        finally:
+            self._encoding.discard(entry)
         self.stats.submissions += 1
         try:
             self._dispatch_entry(entry)
@@ -1188,18 +1194,43 @@ class ShardedScenarioService:
         finally:
             self._discard_entry(entry)
 
+    async def submit(
+        self, request: MeasureRequest, timeout: float | None = None
+    ) -> MeasureResult:
+        """Route one request to a shard and await the result.
+
+        Semantics match :meth:`ScenarioService.submit`: values are
+        bit-comparable to a single-process service (same numerical path,
+        executed in the worker), :class:`QueueFull` applies backpressure at
+        ``max_pending`` in-flight submissions, and a ``timeout`` abandons
+        only this caller's future.  Worker deaths are transparent while
+        the retry budget lasts; :class:`ShardCrashed` is raised fast only
+        when no shard can serve the chain at all (counted in
+        ``stats.routed_dead``).
+        """
+        [entry] = self._admit([request])
+        return await self._complete(entry, timeout)
+
     async def submit_many(
         self, requests: list[MeasureRequest], timeout: float | None = None
     ) -> list[MeasureResult]:
         """Submit several requests (each routed independently) and await all.
 
-        Like :meth:`ScenarioService.submit_many`: the first failure is
-        raised only after every sibling future has settled.
+        Like :meth:`ScenarioService.submit_many`: the batch is admitted
+        all-or-nothing (a batch that would overflow ``max_pending`` raises
+        :class:`QueueFull` before any request reaches a worker), and the
+        first failure is raised only after every sibling future has settled.
         """
-        settled = await asyncio.gather(
-            *(self.submit(request, timeout=timeout) for request in requests),
-            return_exceptions=True,
-        )
+        entries = self._admit(list(requests))
+        try:
+            settled = await asyncio.gather(
+                *(self._complete(entry, timeout) for entry in entries),
+                return_exceptions=True,
+            )
+        finally:
+            # Entries whose coroutine never started (the caller was
+            # cancelled first) must not hold their slots forever.
+            self._encoding.difference_update(entries)
         for outcome in settled:
             if isinstance(outcome, BaseException):
                 raise outcome

@@ -106,13 +106,6 @@ class TestPlannerGrouping:
         session.request(chain, GRID, kind=MeasureKind.REACHABILITY, target=[7])
         assert session.plan().num_groups == 1
 
-    def test_unbatched_session_gives_one_group_per_request(self):
-        chain = random_chain(8, seed=8)
-        session = AnalysisSession(batched=False)
-        session.request(chain, GRID, kind=MeasureKind.TRANSIENT)
-        session.request(chain, GRID, kind=MeasureKind.TRANSIENT)
-        assert session.plan().num_groups == 2
-
     def test_invalid_requests_are_rejected(self):
         chain = random_chain(6, seed=9)
         session = AnalysisSession()
@@ -288,22 +281,6 @@ class TestExecutorBatching:
                 atol=1e-12,
             )
 
-    def test_unbatched_interval_groups_do_not_bundle(self):
-        # batched=False is the per-request comparison baseline: identical
-        # interval requests must keep their independent backward/forward
-        # sweeps (2 each) instead of sharing them.
-        chain = random_chain(9, seed=18)
-        stats = SessionStats()
-        session = AnalysisSession(batched=False, stats=stats)
-        for _ in range(2):
-            session.request(
-                chain, [1.0, 2.0], kind=MeasureKind.INTERVAL_REACHABILITY,
-                target="target", lower=0.5,
-            )
-        session.execute()
-        assert stats.groups == 2
-        assert stats.sweeps == 4
-
     def test_interval_groups_with_different_signatures_do_not_bundle(self):
         chain = random_chain(9, seed=17)
         stats = SessionStats()
@@ -429,9 +406,10 @@ class TestLumpedSessions:
         )
 
     def test_interval_and_longrun_groups_run_on_quotients(self):
-        # The PR 10 coverage: interval-until bundles and long-run groups
-        # report quotient state counts, and their lumped values match the
-        # unlumped path exactly.
+        # Interval-until bundles run on quotients and report their state
+        # counts; long-run groups always solve the full chain, so with
+        # lump=True they carry no quotient size and give the lump=False
+        # value exactly.
         space = exp.line_state_space(LINE2, PAPER_STRATEGIES[0])
         chain = space.chain
         target = space.states_with_service_at_least(
@@ -446,20 +424,32 @@ class TestLumpedSessions:
                 chain, times, kind=MeasureKind.INTERVAL_REACHABILITY,
                 target=target, lower=2.0,
             )
-            steady = session.request(
-                chain, (), kind=MeasureKind.STEADY_STATE, target=target
-            )
+            longrun = [
+                session.request(
+                    chain, (), kind=MeasureKind.STEADY_STATE, target=target
+                ),
+                session.request(
+                    chain, (), kind=MeasureKind.UNBOUNDED_REACHABILITY,
+                    target=target,
+                ),
+                session.request(
+                    chain, (), kind=MeasureKind.REACHABILITY_REWARD,
+                    target=target, rewards=np.ones(chain.num_states),
+                ),
+            ]
             results = session.execute()
-            values[lump] = (results[interval].squeezed, results[steady].squeezed)
-            blocks[lump] = (
-                results[interval].lumped_states,
-                results[steady].lumped_states,
-            )
-        assert blocks[False] == (None, None)
+            values[lump] = [
+                results[index].squeezed for index in (interval, *longrun)
+            ]
+            blocks[lump] = [
+                results[index].lumped_states for index in (interval, *longrun)
+            ]
+        assert blocks[False] == [None] * 4
         assert blocks[True][0] is not None and blocks[True][0] < chain.num_states
-        assert blocks[True][1] is not None and blocks[True][1] < chain.num_states
+        assert blocks[True][1:] == [None] * 3
         np.testing.assert_allclose(values[True][0], values[False][0], atol=1e-12)
-        np.testing.assert_allclose(values[True][1], values[False][1], atol=1e-12)
+        for lumped, unlumped in zip(values[True][1:], values[False][1:]):
+            np.testing.assert_array_equal(lumped, unlumped)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +605,8 @@ class TestCommandLineSessions:
         out = capsys.readouterr().out
         assert "lumped" in out
 
-    def test_no_batched_flag_plans_per_curve(self, capsys):
-        assert main(["fig3", "--points", "5", "--no-plot", "--no-batched"]) == 0
-        out = capsys.readouterr().out
-        assert "session:" in out
+    def test_no_batched_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig3", "--points", "5", "--no-plot", "--no-batched"])
+        assert exit_info.value.code == 2
+        assert "--no-batched" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from scipy import sparse
 from repro.analysis import AnalysisSession, MeasureKind, MeasureRequest, SessionStats
 from repro.ctmc import CTMC
 from repro.ctmc.ctmc import CTMCError
-from repro.ctmc import engines
 from repro.ctmc.engines import (
     BLAS_ENV_VARS,
     DENSE_RELAXED_LIMIT,
@@ -72,13 +71,6 @@ class TestNormalisation:
         with pytest.raises(CTMCError):
             ShardedScenarioService(1, engine="banana")
 
-    def test_process_defaults_roundtrip(self):
-        previous_mode = engines.default_engine_mode()
-        try:
-            engines.set_default_engine_mode("sparse")
-            assert engines.default_engine_mode() == "sparse"
-        finally:
-            engines.set_default_engine_mode(previous_mode)
 
 
 # ---------------------------------------------------------------------------

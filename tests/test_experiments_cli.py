@@ -12,7 +12,6 @@ from repro.casestudy import experiments as exp
 from repro.casestudy.facility import StrategyConfiguration
 from repro.arcade.repair import RepairStrategy
 from repro.cli import build_parser, main
-from repro.ctmc import engines
 
 
 @pytest.fixture(autouse=True)
@@ -102,12 +101,22 @@ class TestCommandLine:
         )
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "# TYPE repro_optimizer_policy_evaluations_total counter" in out
         assert "# TYPE repro_cache_hits_total counter" in out
+        assert "repro_optimizer_" not in out
         types = [line for line in out.splitlines() if line.startswith("# TYPE")]
         assert len(types) == len(set(types))  # one dump, not two
 
-    def test_engine_flag_does_not_leak_into_the_process_default(self, capsys):
-        previous = engines.default_engine_mode()
-        assert main(["fig9", "--points", "5", "--engine", "sparse"]) == 0
-        assert engines.default_engine_mode() == previous
+    def test_engine_flag_plans_every_group_on_that_engine(self, monkeypatch):
+        from repro.analysis import session as session_module
+
+        plans = []
+        original = session_module.build_plan
+
+        def spy(*args, **kwargs):
+            plans.append(original(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(session_module, "build_plan", spy)
+        assert main(["fig3", "--points", "5", "--engine", "dense"]) == 0
+        groups = [group for plan in plans for group in plan.groups]
+        assert groups and all(group.engine == "dense" for group in groups)

@@ -159,22 +159,21 @@ class TestProtocol:
             assert status == 404
             status, _, payload, _ = await http_request(host, port, "GET", "/scenario")
             assert status == 405
-            status, _, payload, _ = await http_request(
-                host, port, "POST", "/scenario", b"not json"
-            )
-            assert status == 400
-            status, _, payload, _ = await http_request(
-                host, port, "POST", "/scenario", json.dumps({"name": 5}).encode()
-            )
-            assert status == 400
-            status, _, payload, _ = await http_request(
-                host,
-                port,
-                "POST",
-                "/scenario",
+            bad_bodies = [
+                b"not json",
+                json.dumps({"name": 5}).encode(),
                 json.dumps({"name": "fig4_5", "points": 1}).encode(),
-            )
-            assert status == 400
+                # bool is an int in Python, and json.loads parses NaN and
+                # Infinity; none of them is a deadline.
+                json.dumps({"name": "fig4_5", "timeout": True}).encode(),
+                json.dumps({"name": "fig4_5", "timeout": float("nan")}).encode(),
+                json.dumps({"name": "fig4_5", "timeout": float("inf")}).encode(),
+            ]
+            for body in bad_bodies:
+                status, _, payload, _ = await http_request(
+                    host, port, "POST", "/scenario", body
+                )
+                assert status == 400, body
             status, _, payload, _ = await http_request(
                 host, port, "POST", "/scenario", json.dumps({"name": "ghost"}).encode()
             )

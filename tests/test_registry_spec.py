@@ -46,7 +46,7 @@ class TestDescribe:
         }
 
     def test_every_paper_spec_is_json_serialisable(self):
-        for document in paper_registry(include_optimized=True).describe():
+        for document in paper_registry().describe():
             assert json.loads(json.dumps(document)) == document
 
     def test_invalid_measure_is_rejected(self):
